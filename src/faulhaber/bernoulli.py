@@ -70,23 +70,34 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
+# Minus-convention numbers b_0..b_k computed so far, shared by every table.
+# Requests beyond it replace it whole by a longer copy; entries never change.
+_minus_prefix: tuple[Rational, ...] = (ONE,)
+
+
 def bernoulli_numbers(m: int) -> BernoulliTable:
     """Bernoulli numbers through index m, both conventions.
 
     Uses the convolution recurrence sum_{k=0..i} C(i+1, k) * b_k = 0 with
     b_0 = 1, which determines each minus-convention number from the
-    previous ones; the plus convention differs only at index 1.
+    previous ones; the plus convention differs only at index 1.  Numbers
+    already computed for an earlier request are reused.
     """
+    global _minus_prefix
     if m < 0:
         raise ValueError(f"need a table limit >= 0, got {m}")
-    minus: list[Rational] = [ONE]
-    for i in range(1, m + 1):
-        acc = sum((binomial(i + 1, k) * minus[k] for k in range(i)), start=ZERO)
-        minus.append(-acc / (i + 1))
+    minus = _minus_prefix
+    if len(minus) <= m:
+        extended = list(minus)
+        for i in range(len(minus), m + 1):
+            acc = sum((binomial(i + 1, k) * extended[k] for k in range(i)), start=ZERO)
+            extended.append(-acc / (i + 1))
+        minus = _minus_prefix = tuple(extended)
+    minus = minus[: m + 1]
     plus = list(minus)
     if m >= 1:
         plus[1] = Fraction(1, 2)
-    return BernoulliTable(m, tuple(minus), tuple(plus))
+    return BernoulliTable(m, minus, tuple(plus))
 
 
 def faulhaber_via_bernoulli(p: int) -> CoefficientRow:

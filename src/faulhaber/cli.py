@@ -16,9 +16,9 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -205,24 +205,6 @@ def _first_difference(a: CoefficientRow, b: CoefficientRow) -> int | None:
     return None
 
 
-def _check_degree(
-    p: int, methods: dict[str, Callable[[int], CoefficientRow]]
-) -> tuple[list[Mismatch], bool]:
-    rows = {name: fn(p) for name, fn in methods.items()}
-    mismatches = []
-    for name_a, name_b in itertools.combinations(rows, 2):
-        power = _first_difference(rows[name_a], rows[name_b])
-        if power is not None:
-            mismatches.append(Mismatch(p, f"{name_a} vs {name_b}", power))
-    counter = OpCounter()
-    direct_coefficients(p, counter)
-    counts_ok = (
-        counter.additions == predicted_additions(p)
-        and counter.multiplications == predicted_multiplications(p)
-    )
-    return mismatches, counts_ok
-
-
 def _identity_tallies() -> dict[str, tuple[int, int]]:
     checked = failed = 0
     p_range, n_range = POWER_SUM_IDENTITY_RANGE
@@ -252,37 +234,45 @@ def _identity_tallies() -> dict[str, tuple[int, int]]:
 
 def run_verification(
     p_max: int,
-    jobs: int = 1,
     methods: dict[str, Callable[[int], CoefficientRow]] | None = None,
 ) -> VerifyReport:
     """Compare every path pair for p = 0..p_max, check op counts against the
     quadratic formulas, and run the identity checks over their default
     ranges.
 
-    Degrees are independent, so with jobs > 1 they are fanned out across a
-    thread pool; results merge in degree order either way.
+    Both degree passes ascend, so each built-in path continues from the
+    degree before instead of starting over.  The first pass hands one
+    running counter to the direct path and checks its totals at every
+    degree; the second compares the rows of every path pair.
     """
     if p_max < 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if methods is None:
         methods = dict(METHODS)
 
     degrees = range(p_max + 1)
-    if jobs == 1:
-        per_degree = [_check_degree(p, methods) for p in degrees]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_degree = list(pool.map(lambda p: _check_degree(p, methods), degrees))
+    counter = OpCounter()
+    op_count_ok = []
+    for p in degrees:
+        direct_coefficients(p, counter)
+        op_count_ok.append(
+            counter.additions == predicted_additions(p)
+            and counter.multiplications == predicted_multiplications(p)
+        )
 
-    mismatches = tuple(m for found, _ in per_degree for m in found)
-    op_count_ok = tuple(ok for _, ok in per_degree)
+    mismatches = []
+    for p in degrees:
+        rows = {name: fn(p) for name, fn in methods.items()}
+        for name_a, name_b in itertools.combinations(rows, 2):
+            power = _first_difference(rows[name_a], rows[name_b])
+            if power is not None:
+                mismatches.append(Mismatch(p, f"{name_a} vs {name_b}", power))
+
     return VerifyReport(
         p_max=p_max,
         paths_compared=tuple(methods),
-        mismatches=mismatches,
-        op_count_ok=op_count_ok,
+        mismatches=tuple(mismatches),
+        op_count_ok=tuple(op_count_ok),
         identity_tallies=_identity_tallies(),
     )
 
@@ -324,10 +314,10 @@ def _positive(text: str) -> int:
     return value
 
 
-def _warn_if_huge(p: int) -> None:
-    if p > SOFT_DEGREE_LIMIT:
+def _warn_if_huge(value: int, name: str = "p") -> None:
+    if value > SOFT_DEGREE_LIMIT:
         print(
-            f"warning: p = {p} is above {SOFT_DEGREE_LIMIT}; "
+            f"warning: {name} = {value} is above {SOFT_DEGREE_LIMIT}; "
             "this may take a very long time",
             file=sys.stderr,
         )
@@ -361,7 +351,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _warn_if_huge(args.p_max)
-    report = run_verification(args.p_max, jobs=args.jobs)
+    report = run_verification(args.p_max)
     print(report.render())
     return 0 if report.passed else 1
 
@@ -397,6 +387,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
+    _warn_if_huge(args.m, "m")
     table = bernoulli_numbers(args.m)
     values = table.values_plus if args.convention == "plus" else table.values_minus
     for i, value in enumerate(values):
@@ -436,10 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="cross-check all paths, op counts, and identities"
     )
     verify.add_argument("p_max", type=_natural, help="highest exponent to compare")
-    verify.add_argument(
-        "--jobs", type=_positive, default=1,
-        help="worker threads for the per-degree comparisons (default: 1)",
-    )
     verify.set_defaults(handler=_cmd_verify)
 
     bench = sub.add_parser(
@@ -461,7 +448,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    status = 0
+    try:
+        status = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`faulhaber bernoulli 400 | head -1`): that is
+        # no failure of the command.  Point stdout at the null device so the
+        # flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return status
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ coefficient is then fixed so the row sums to 1 (because f_i(1) = 1).
 
 Only a single rolling row is ever alive; it is updated in place from the
 highest power downward, so each slot is overwritten strictly after the
-slot below it has been consumed.
+slot below it has been consumed.  The last row handed out is kept, so a
+caller walking the degrees upward pays for each step once.
 """
 from __future__ import annotations
 
@@ -88,17 +89,35 @@ def next_row(
     return CoefficientRow(i, tuple(row))
 
 
+# The last row direct_coefficients returned and the counter that tallied it
+# (None if uncounted).  Holding the counter keeps its identity from passing
+# to a new one.  The pair is replaced whole, never mutated, so a concurrent
+# caller always reads a consistent one.
+_last: tuple[OpCounter | None, CoefficientRow] = (None, CoefficientRow(0, (ONE,)))
+
+
 def direct_coefficients(p: int, counter: OpCounter | None = None) -> CoefficientRow:
     """Coefficients of the Faulhaber formula for exponent p.
 
     Starts from the single-entry row [1] (f_0(n) = n) and advances one
-    degree per step on a single rolling list.  With a counter attached the
-    tallies come out to exactly p(p+1)/2 + p additions/subtractions and
+    degree per step on a single rolling list.  With a fresh counter attached
+    the tallies come out to exactly p(p+1)/2 + p additions/subtractions and
     p(p+1)/2 multiplications.
+
+    A request with the same counter (or again none) as the previous call, for
+    the same degree or a higher one, continues from the previous row instead
+    of from [1]; the counter then holds the totals for degree p.  Any other
+    request starts over.
     """
+    global _last
     if p < 0:
         raise ValueError(f"exponent must be >= 0, got {p}")
-    row: list[Rational] = [ONE]
-    for i in range(1, p + 1):
+    last_counter, last = _last
+    if last_counter is not counter or last.degree > p:
+        last = CoefficientRow(0, (ONE,))
+    row = list(last.coefficients)
+    for i in range(last.degree + 1, p + 1):
         _advance(row, i, counter)
-    return CoefficientRow(p, tuple(row))
+    result = CoefficientRow(p, tuple(row))
+    _last = (counter, result)
+    return result

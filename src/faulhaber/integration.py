@@ -95,17 +95,28 @@ def integration_step(f_prev: Polynomial, p: int) -> Polynomial:
     return poly_add(poly_scale(antiderivative, Fraction(p)), (ZERO, correction))
 
 
+# The degree q and polynomial f_q that integration_coefficients reached last.
+# The pair is replaced whole, never mutated.
+_last: tuple[int, Polynomial] = (0, (ZERO, ONE))
+
+
 def integration_coefficients(p: int) -> CoefficientRow:
     """Coefficient row for exponent p via the integration recurrence.
 
     Starts from f_0(n) = n and applies integration_step p times, then drops
-    the constant coefficient, which a correct run leaves exactly zero.
+    the constant coefficient, which a correct run leaves exactly zero.  A
+    request for the previous call's degree or a higher one continues from
+    the previous f instead of from f_0.
     """
+    global _last
     if p < 0:
         raise ValueError(f"exponent must be >= 0, got {p}")
-    f: Polynomial = (ZERO, ONE)
-    for i in range(1, p + 1):
+    q, f = _last
+    if q > p:
+        q, f = 0, (ZERO, ONE)
+    for i in range(q + 1, p + 1):
         f = integration_step(f, i)
+    _last = (p, f)
     return power_sum_polynomial_to_row(f)
 
 

@@ -1,9 +1,13 @@
 """Bernoulli path: number tables against independent oracles, both sign
 conventions, the closed formula, and the polynomial identities."""
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import faulhaber.bernoulli
 from faulhaber import (
     bernoulli_numbers,
     bernoulli_polynomial,
@@ -44,6 +48,9 @@ def akiyama_tanigawa(limit):
     return numbers
 
 
+AKIYAMA_TANIGAWA_120 = akiyama_tanigawa(120)
+
+
 def test_binomial_against_pascal_triangle():
     triangle = pascal_triangle(13)
     for n in range(14):
@@ -82,6 +89,24 @@ def test_table_shape_and_conventions():
         assert table.plus(k) == table.minus(k)
     for k in range(3, 51, 2):
         assert table.plus(k) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 120), min_size=1, max_size=6))
+@example([40, 120, 7])
+def test_tables_do_not_depend_on_request_order(limits):
+    # Start from b_0 alone, so that the requests extend the shared numbers.
+    faulhaber.bernoulli._minus_prefix = (F(1),)
+    for m in limits:
+        assert list(bernoulli_numbers(m).values_plus) == AKIYAMA_TANIGAWA_120[: m + 1]
+
+
+def test_denominators_follow_von_staudt_clausen():
+    table = bernoulli_numbers(120)
+    for index in range(2, 121, 2):
+        primes = [q for q in range(2, index + 2)
+                  if all(q % d for d in range(2, isqrt(q) + 1)) and index % (q - 1) == 0]
+        assert table.minus(index).denominator == prod(primes)
 
 
 def test_negative_limit_rejected():
