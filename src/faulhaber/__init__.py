@@ -23,9 +23,7 @@ from .integration import (
     integrate_polynomial,
     integration_coefficients,
     integration_step,
-    poly_add,
     poly_eval,
-    poly_scale,
     polynomial,
     power_sum_polynomial_to_row,
     row_to_polynomial,
@@ -70,9 +68,7 @@ __all__ = [
     "integration_step",
     "next_row",
     "parse_rational",
-    "poly_add",
     "poly_eval",
-    "poly_scale",
     "polynomial",
     "power_sum_bruteforce",
     "power_sum_polynomial_to_row",

@@ -78,22 +78,30 @@ _minus_prefix: tuple[Rational, ...] = (ONE,)
 def bernoulli_numbers(m: int) -> BernoulliTable:
     """Bernoulli numbers through index m, both conventions.
 
-    Uses the convolution recurrence sum_{k=0..i} C(i+1, k) * b_k = 0 with
-    b_0 = 1, which determines each minus-convention number from the
-    previous ones; the plus convention differs only at index 1.  Numbers
-    already computed for an earlier request are reused.
+    The even-index numbers come from the tangent numbers T_1..T_h, h = m // 2
+    (Brent and Harvey, arXiv:1108.0286), built in place with int arithmetic
+    only:  B_2k = (-1)^(k-1) * 2k * T_k / (4^k (4^k - 1)).  b_1 = -1/2 in the
+    minus convention, +1/2 in the plus one, and odd indices >= 3 are zero.
+    A request within the numbers computed so far reuses them.
     """
     global _minus_prefix
     if m < 0:
         raise ValueError(f"need a table limit >= 0, got {m}")
-    minus = _minus_prefix
-    if len(minus) <= m:
-        extended = list(minus)
-        for i in range(len(minus), m + 1):
-            acc = sum((binomial(i + 1, k) * extended[k] for k in range(i)), start=ZERO)
-            extended.append(-acc / (i + 1))
-        minus = _minus_prefix = tuple(extended)
-    minus = minus[: m + 1]
+    if len(_minus_prefix) <= m:
+        h = m // 2
+        tangent = [0, 1] + [0] * (h - 1)
+        for k in range(2, h + 1):
+            tangent[k] = (k - 1) * tangent[k - 1]
+        for k in range(2, h + 1):
+            for j in range(k, h + 1):
+                tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+        extended = [ONE, Fraction(-1, 2)]
+        for k in range(1, h + 1):
+            power = 4**k
+            value = Fraction(2 * k * tangent[k], power * (power - 1))
+            extended += (value if k % 2 else -value, ZERO)
+        _minus_prefix = tuple(extended[: m + 1])
+    minus = _minus_prefix[: m + 1]
     plus = list(minus)
     if m >= 1:
         plus[1] = Fraction(1, 2)

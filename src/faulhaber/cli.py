@@ -364,9 +364,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     print(header)
     all_match = True
+    # One ascending pass with a running counter: after degree p it holds the
+    # totals, and `seconds` the time, of building row p from scratch.
+    counter = OpCounter()
+    start = time.perf_counter()
     for p in bench_schedule(args.p_max):
-        counter = OpCounter()
-        start = time.perf_counter()
         direct_coefficients(p, counter)
         elapsed = time.perf_counter() - start
         expected_add = predicted_additions(p)

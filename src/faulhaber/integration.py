@@ -26,8 +26,6 @@ from .rationals import ONE, ZERO, Rational
 __all__ = [
     "Polynomial",
     "polynomial",
-    "poly_add",
-    "poly_scale",
     "poly_eval",
     "integrate_polynomial",
     "eval_at_one",
@@ -46,19 +44,6 @@ def polynomial(coeffs: Iterable[Rational | int]) -> Polynomial:
     while values and values[-1] == 0:
         values.pop()
     return tuple(values)
-
-
-def poly_add(f: Polynomial, g: Polynomial) -> Polynomial:
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for k, c in enumerate(g):
-        out[k] += c
-    return polynomial(out)
-
-
-def poly_scale(f: Polynomial, factor: Rational) -> Polynomial:
-    return polynomial(c * factor for c in f)
 
 
 def poly_eval(f: Polynomial, x: Rational) -> Rational:
@@ -92,7 +77,15 @@ def integration_step(f_prev: Polynomial, p: int) -> Polynomial:
         raise ValueError(f"integration recurrence needs p >= 1, got {p}")
     antiderivative = integrate_polynomial(f_prev)
     correction = ONE - p * eval_at_one(antiderivative)
-    return poly_add(poly_scale(antiderivative, Fraction(p)), (ZERO, correction))
+    if not antiderivative:
+        return (ZERO, correction)
+    # A Fraction factor, not the int p: int * Fraction builds a new Fraction
+    # from the int on every multiplication.  The top entry stays nonzero, so
+    # a trimmed f_prev gives a trimmed result.
+    factor = Fraction(p)
+    out = [c * factor for c in antiderivative]
+    out[1] += correction
+    return tuple(out)
 
 
 # The degree q and polynomial f_q that integration_coefficients reached last.

@@ -48,7 +48,7 @@ def akiyama_tanigawa(limit):
     return numbers
 
 
-AKIYAMA_TANIGAWA_120 = akiyama_tanigawa(120)
+AKIYAMA_TANIGAWA_300 = akiyama_tanigawa(300)
 
 
 def test_binomial_against_pascal_triangle():
@@ -76,8 +76,7 @@ def test_anchor_values():
 
 
 def test_table_matches_akiyama_tanigawa_oracle():
-    table = bernoulli_numbers(30)
-    assert list(table.values_plus) == akiyama_tanigawa(30)
+    assert list(bernoulli_numbers(300).values_plus) == AKIYAMA_TANIGAWA_300
 
 
 def test_table_shape_and_conventions():
@@ -92,18 +91,18 @@ def test_table_shape_and_conventions():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(0, 120), min_size=1, max_size=6))
+@given(st.lists(st.integers(0, 300), min_size=1, max_size=6))
 @example([40, 120, 7])
 def test_tables_do_not_depend_on_request_order(limits):
     # Start from b_0 alone, so that the requests extend the shared numbers.
     faulhaber.bernoulli._minus_prefix = (F(1),)
     for m in limits:
-        assert list(bernoulli_numbers(m).values_plus) == AKIYAMA_TANIGAWA_120[: m + 1]
+        assert list(bernoulli_numbers(m).values_plus) == AKIYAMA_TANIGAWA_300[: m + 1]
 
 
 def test_denominators_follow_von_staudt_clausen():
-    table = bernoulli_numbers(120)
-    for index in range(2, 121, 2):
+    table = bernoulli_numbers(400)
+    for index in range(2, 401, 2):
         primes = [q for q in range(2, index + 2)
                   if all(q % d for d in range(2, isqrt(q) + 1)) and index % (q - 1) == 0]
         assert table.minus(index).denominator == prod(primes)
@@ -118,6 +117,7 @@ def test_closed_formula_rows():
     assert faulhaber_via_bernoulli(2).coefficients == (F(1, 6), F(1, 2), F(1, 3))
     assert faulhaber_via_bernoulli(0).coefficients == (F(1),)
     assert faulhaber_via_bernoulli(5) == direct_coefficients(5)
+    assert faulhaber_via_bernoulli(300) == direct_coefficients(300)
 
 
 def test_first_bernoulli_polynomials():
