@@ -124,18 +124,31 @@ def faulhaber_via_bernoulli(p: int) -> CoefficientRow:
     return CoefficientRow(p, tuple(coeffs))
 
 
+# Bernoulli polynomials B_0..B_k built so far, kept like _minus_prefix:
+# replaced whole by a longer copy, entries never change.
+_polynomials: tuple[Polynomial, ...] = ()
+
+
 def bernoulli_polynomial(i: int) -> Polynomial:
     """The i-th Bernoulli polynomial B_i(t) = sum_k C(i, k) * b_k * t^(i-k).
 
     Built from the minus convention, so B_i(0) is the minus-convention
-    number and B_i(1) the plus-convention one.
+    number and B_i(1) the plus-convention one.  Each B_i is built once per
+    process; later requests reuse it.
     """
+    global _polynomials
     if i < 0:
         raise ValueError(f"polynomial index must be >= 0, got {i}")
-    table = bernoulli_numbers(i)
-    return polynomial(
-        binomial(i, i - power) * table.minus(i - power) for power in range(i + 1)
-    )
+    if len(_polynomials) <= i:
+        table = bernoulli_numbers(i)
+        _polynomials += tuple(
+            polynomial(
+                binomial(j, j - power) * table.minus(j - power)
+                for power in range(j + 1)
+            )
+            for j in range(len(_polynomials), i + 1)
+        )
+    return _polynomials[i]
 
 
 def check_power_sum_identity(p: int, n: int) -> bool:

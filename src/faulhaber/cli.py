@@ -9,7 +9,8 @@ Subcommands:
     bernoulli  print a Bernoulli-number table in either sign convention
 
 Results go to stdout, diagnostics to stderr.  Exit statuses are a stable
-scripting contract: 0 success, 1 verification failure, 2 usage error.
+scripting contract: 0 success, 1 verification failure, 2 usage error,
+130 interrupted.
 """
 from __future__ import annotations
 
@@ -461,6 +462,11 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+    except KeyboardInterrupt:
+        # Ctrl-C: a short diagnostic and the shell's 128 + SIGINT status
+        # instead of a traceback.
+        print("interrupted", file=sys.stderr)
+        return 130
     return status
 
 

@@ -18,6 +18,7 @@ applies to the direct algorithm only.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .direct import CoefficientRow
@@ -47,18 +48,30 @@ def polynomial(coeffs: Iterable[Rational | int]) -> Polynomial:
 
 
 def poly_eval(f: Polynomial, x: Rational) -> Rational:
-    """Exact value of f at x, by Horner's scheme."""
-    acc = ZERO
+    """Exact value of f at x, by Horner's scheme on integers.
+
+    With d the common denominator of the coefficients c_k, x = u/v and
+    n = deg f, the value is sum_k d c_k u^k v^(n-k) / (d v^n).  Horner runs
+    on that numerator with a running power of v, so the only Fraction is
+    the one built at the end.
+    """
+    if not f:
+        return ZERO
+    d = lcm(*(c.denominator for c in f))
+    u, v = x.numerator, x.denominator
+    acc = 0
+    power = 1  # v ** (number of coefficients folded in so far)
     for c in reversed(f):
-        acc = acc * x + c
-    return acc
+        acc = acc * u + c.numerator * (d // c.denominator) * power
+        power *= v
+    return Fraction(acc, d * (power // v))
 
 
 def integrate_polynomial(f: Polynomial) -> Polynomial:
     """Antiderivative with zero constant term: c_k t^k maps to c_k/(k+1) t^(k+1)."""
     if not f:
         return ()
-    return (ZERO,) + tuple(c / (k + 1) for k, c in enumerate(f))
+    return (ZERO,) + tuple(Fraction(c, k + 1) for k, c in enumerate(f))
 
 
 def eval_at_one(f: Polynomial) -> Rational:

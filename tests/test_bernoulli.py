@@ -126,6 +126,20 @@ def test_first_bernoulli_polynomials():
     assert bernoulli_polynomial(2) == polynomial([F(1, 6), -1, 1])
 
 
+def test_polynomials_do_not_depend_on_request_order(monkeypatch):
+    # Start with no polynomial built, so that the requests extend the shared
+    # tuple out of order; each must equal a fresh build from its numbers.
+    monkeypatch.setattr(faulhaber.bernoulli, "_polynomials", ())
+    monkeypatch.setattr(faulhaber.bernoulli, "_minus_prefix", (F(1),))
+    for i in (30, 3, 31, 0, 17, 31):
+        table = bernoulli_numbers(i)
+        fresh = polynomial(
+            binomial(i, k) * table.minus(k) for k in range(i, -1, -1)
+        )
+        assert bernoulli_polynomial(i) == fresh
+    assert len(faulhaber.bernoulli._polynomials) == 32
+
+
 @pytest.mark.parametrize("i", range(0, 31))
 def test_polynomial_interpolates_both_conventions(i):
     table = bernoulli_numbers(i)

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from faulhaber import CoefficientRow
+import faulhaber.bernoulli
+from faulhaber import CoefficientRow, bernoulli_polynomial
 from faulhaber import cli
 
 
@@ -157,6 +158,46 @@ def test_verify_locates_wrong_operation_count(capsys, monkeypatch):
     assert "  op counts:    FAIL at p = 5\n" in out
     assert "row equality: OK" in out
     assert "result: FAIL" in out
+
+
+def test_verify_reports_failed_identities(capsys, monkeypatch):
+    # Shift the linear coefficient of B_4 by one in the shared polynomials:
+    # every identity family has checks that involve B_4 and see the change.
+    bernoulli_polynomial(31)
+    polynomials = list(faulhaber.bernoulli._polynomials)
+    b4 = list(polynomials[4])
+    b4[1] += 1
+    polynomials[4] = tuple(b4)
+    monkeypatch.setattr(faulhaber.bernoulli, "_polynomials", tuple(polynomials))
+    code, out, _ = run_cli(capsys, "verify", "3")
+    assert code == 1
+    assert "row equality: OK" in out
+    for label, checked in (
+        ("power-sum identity", 600),
+        ("integral identity", 775),
+        ("difference identity", 609),
+    ):
+        line = next(line for line in out.splitlines() if label in line)
+        prefix = f"  {label + ':':<22}FAIL ({checked} checked, "
+        assert line.startswith(prefix) and line.endswith(" failed)")
+        assert int(line[len(prefix):].split()[0]) > 0
+    assert out.endswith("result: FAIL\n")
+
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "verify", "3")
+    assert code == 0
+    assert out.endswith("result: PASS\n")
+
+
+def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_verify", interrupted)
+    code, out, err = run_cli(capsys, "verify", "3")
+    assert code == 130
+    assert out == ""
+    assert err == "interrupted\n"
 
 
 def test_closed_stdout_is_not_a_failure():

@@ -3,7 +3,7 @@ with the direct rows."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from faulhaber import (
@@ -32,6 +32,15 @@ def test_integrate_power_rule():
 
 def test_integrate_zero_polynomial():
     assert integrate_polynomial(()) == ()
+
+
+def test_integrate_int_coefficients_stays_exact():
+    # A raw int tuple that did not go through polynomial() must not turn
+    # into floats: 1 + 2t integrates to t + t^2 with Fraction entries.
+    antider = integrate_polynomial((1, 2))
+    assert antider == (F(0), F(1), F(1))
+    assert all(type(c) is Fraction for c in antider)
+    assert integrate_polynomial((1, 1)) == (F(0), F(1), F(1, 2))
 
 
 def test_integrate_linear_power_sum():
@@ -64,6 +73,38 @@ def test_eval_at_one_sums_coefficients():
 def test_eval_at_one_agrees_with_horner(coeffs):
     f = polynomial(coeffs)
     assert eval_at_one(f) == poly_eval(f, F(1))
+
+
+def horner_oracle(f, x):
+    """Textbook Horner's scheme with a Fraction step per coefficient."""
+    acc = F(0)
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+# Zero, negative and positive ints, and proper fractions of either sign.
+POINTS = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-1, max_value=1, max_denominator=60),
+    st.fractions(max_denominator=10**6),
+)
+COEFFICIENTS = st.one_of(st.integers(-10**6, 10**6), st.fractions())
+
+
+@given(st.lists(COEFFICIENTS, max_size=12), POINTS)
+@example([], 0)
+@example([], F(-2, 3))
+@example([0, 0, 0], F(1, 2))
+@example([F(1, 6), -1, 1], 0)
+@example([F(1, 6), -1, 1], -3)
+@example([5], F(-7, 3))
+@example([F(1, 2), F(-1, 3)], F(-3, 5))
+def test_poly_eval_matches_fraction_horner(coeffs, x):
+    for f in (tuple(coeffs), polynomial(coeffs)):
+        value = poly_eval(f, x)
+        assert type(value) is Fraction
+        assert value == horner_oracle(f, x)
 
 
 def test_polynomial_trims_trailing_zeros():
