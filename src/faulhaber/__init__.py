@@ -10,13 +10,12 @@ from .bernoulli import (
     BernoulliTable,
     bernoulli_numbers,
     bernoulli_polynomial,
-    binomial,
     check_difference_identity,
     check_integral_identity,
     check_power_sum_identity,
     faulhaber_via_bernoulli,
 )
-from .direct import CoefficientRow, direct_coefficients, next_row
+from .direct import CoefficientRow, direct_coefficients
 from .integration import (
     Polynomial,
     eval_at_one,
@@ -29,18 +28,7 @@ from .integration import (
     row_to_polynomial,
 )
 from .oracle import evaluate_row, power_sum_bruteforce
-from .rationals import (
-    ONE,
-    ZERO,
-    OpCounter,
-    Rational,
-    format_rational,
-    parse_rational,
-    rat_add,
-    rat_mul,
-    rat_normalize,
-    rat_sub,
-)
+from .rationals import ONE, ZERO, OpCounter, rat_add, rat_mul, rat_sub
 
 __version__ = "0.1.0"
 
@@ -50,11 +38,9 @@ __all__ = [
     "ONE",
     "OpCounter",
     "Polynomial",
-    "Rational",
     "ZERO",
     "bernoulli_numbers",
     "bernoulli_polynomial",
-    "binomial",
     "check_difference_identity",
     "check_integral_identity",
     "check_power_sum_identity",
@@ -62,19 +48,15 @@ __all__ = [
     "eval_at_one",
     "evaluate_row",
     "faulhaber_via_bernoulli",
-    "format_rational",
     "integrate_polynomial",
     "integration_coefficients",
     "integration_step",
-    "next_row",
-    "parse_rational",
     "poly_eval",
     "polynomial",
     "power_sum_bruteforce",
     "power_sum_polynomial_to_row",
     "rat_add",
     "rat_mul",
-    "rat_normalize",
     "rat_sub",
     "row_to_polynomial",
 ]

@@ -30,11 +30,10 @@ from .integration import (
     polynomial,
 )
 from .oracle import power_sum_bruteforce
-from .rationals import ONE, ZERO, Rational
+from .rationals import ONE, ZERO
 
 __all__ = [
     "BernoulliTable",
-    "binomial",
     "bernoulli_numbers",
     "faulhaber_via_bernoulli",
     "bernoulli_polynomial",
@@ -53,26 +52,19 @@ class BernoulliTable:
     """
 
     limit: int
-    values_minus: tuple[Rational, ...]
-    values_plus: tuple[Rational, ...]
+    values_minus: tuple[Fraction, ...]
+    values_plus: tuple[Fraction, ...]
 
-    def minus(self, k: int) -> Rational:
+    def minus(self, k: int) -> Fraction:
         return self.values_minus[k]
 
-    def plus(self, k: int) -> Rational:
+    def plus(self, k: int) -> Fraction:
         return self.values_plus[k]
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient; k outside 0..n yields 0 (total convention)."""
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 # Minus-convention numbers b_0..b_k computed so far, shared by every table.
 # Requests beyond it replace it whole by a longer copy; entries never change.
-_minus_prefix: tuple[Rational, ...] = (ONE,)
+_minus_prefix: tuple[Fraction, ...] = (ONE,)
 
 
 def bernoulli_numbers(m: int) -> BernoulliTable:
@@ -117,10 +109,10 @@ def faulhaber_via_bernoulli(p: int) -> CoefficientRow:
     if p < 0:
         raise ValueError(f"exponent must be >= 0, got {p}")
     table = bernoulli_numbers(p)
-    coeffs: list[Rational] = [ZERO] * (p + 1)
+    coeffs: list[Fraction] = [ZERO] * (p + 1)
     for i in range(p + 1):
         power = p + 1 - i
-        coeffs[power - 1] = binomial(p + 1, i) * table.plus(i) / (p + 1)
+        coeffs[power - 1] = comb(p + 1, i) * table.plus(i) / (p + 1)
     return CoefficientRow(p, tuple(coeffs))
 
 
@@ -143,7 +135,7 @@ def bernoulli_polynomial(i: int) -> Polynomial:
         table = bernoulli_numbers(i)
         _polynomials += tuple(
             polynomial(
-                binomial(j, j - power) * table.minus(j - power)
+                comb(j, j - power) * table.minus(j - power)
                 for power in range(j + 1)
             )
             for j in range(len(_polynomials), i + 1)
@@ -166,7 +158,7 @@ def check_power_sum_identity(p: int, n: int) -> bool:
     return left == right
 
 
-def check_integral_identity(i: int, a: Rational, b: Rational) -> bool:
+def check_integral_identity(i: int, a: Fraction, b: Fraction) -> bool:
     """Does the integral of B_i over [a, b] equal (B_{i+1}(b) - B_{i+1}(a))/(i+1)?
 
     The left side is integrated symbolically and evaluated at the

@@ -34,7 +34,7 @@ from .bernoulli import (
 from .direct import CoefficientRow, direct_coefficients
 from .integration import integration_coefficients
 from .oracle import evaluate_row, power_sum_bruteforce
-from .rationals import OpCounter, Rational, format_rational
+from .rationals import OpCounter
 
 __all__ = [
     "METHODS",
@@ -87,7 +87,7 @@ def predicted_multiplications(p: int) -> int:
 
 def format_plain(row: CoefficientRow) -> str:
     return " ".join(
-        f"a_{j}={format_rational(c)}" for j, c in enumerate(row.coefficients, start=1)
+        f"a_{j}={c}" for j, c in enumerate(row.coefficients, start=1)
     )
 
 
@@ -95,12 +95,12 @@ def format_json(row: CoefficientRow) -> str:
     # Rationals travel as strings so no JSON consumer can lose exactness.
     payload = {
         "p": row.degree,
-        "coefficients": [format_rational(c) for c in row.coefficients],
+        "coefficients": [str(c) for c in row.coefficients],
     }
     return json.dumps(payload, separators=(",", ":"))
 
 
-def _latex_magnitude(value: Rational) -> str:
+def _latex_magnitude(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return rf"\frac{{{value.numerator}}}{{{value.denominator}}}"
@@ -394,7 +394,7 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
     table = bernoulli_numbers(args.m)
     values = table.values_plus if args.convention == "plus" else table.values_minus
     for i, value in enumerate(values):
-        print(f"{i}: {format_rational(value)}")
+        print(f"{i}: {value}")
     return 0
 
 
@@ -451,6 +451,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Results are exact integers of any size (`bernoulli 2400` prints
+    # numerators past the interpreter's default 4,300-digit limit); parsing
+    # the arguments above still runs under that limit.  Python before
+    # 3.10.7 has no limit.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     status = 0
     try:
         status = args.handler(args)

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationals import ONE, ZERO, OpCounter, Rational, rat_add, rat_mul, rat_sub
+from .rationals import ONE, ZERO, OpCounter, rat_add, rat_mul, rat_sub
 
-__all__ = ["CoefficientRow", "next_row", "direct_coefficients"]
+__all__ = ["CoefficientRow", "direct_coefficients"]
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class CoefficientRow:
     """
 
     degree: int
-    coefficients: tuple[Rational, ...]
+    coefficients: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if self.degree < 0:
@@ -48,7 +48,7 @@ class CoefficientRow:
                 f"coefficients, got {len(self.coefficients)}"
             )
 
-    def coefficient(self, power: int) -> Rational:
+    def coefficient(self, power: int) -> Fraction:
         """The coefficient of n**power, for 1 <= power <= degree + 1."""
         if not 1 <= power <= self.degree + 1:
             raise IndexError(
@@ -57,7 +57,7 @@ class CoefficientRow:
         return self.coefficients[power - 1]
 
 
-def _advance(row: list[Rational], i: int, counter: OpCounter | None) -> None:
+def _advance(row: list[Fraction], i: int, counter: OpCounter | None) -> None:
     """Turn the length-i row for degree i-1 into the row for degree i, in place.
 
     j runs downward so row[j - 2] is still the previous row's entry when
@@ -71,22 +71,6 @@ def _advance(row: list[Rational], i: int, counter: OpCounter | None) -> None:
         row[j - 1] = rat_mul(Fraction(i, j), row[j - 2], counter)
         s = rat_add(s, row[j - 1], counter)
     row[0] = rat_sub(ONE, s, counter)
-
-
-def next_row(
-    prev: CoefficientRow, i: int, counter: OpCounter | None = None
-) -> CoefficientRow:
-    """Row of degree i derived from the row of degree i - 1."""
-    if i < 1:
-        raise ValueError(f"next_row needs i >= 1, got {i}")
-    if prev.degree != i - 1:
-        raise ValueError(
-            f"next_row for i={i} needs a row of degree {i - 1}, "
-            f"got degree {prev.degree}"
-        )
-    row = list(prev.coefficients)
-    _advance(row, i, counter)
-    return CoefficientRow(i, tuple(row))
 
 
 # The last row direct_coefficients returned and the counter that tallied it

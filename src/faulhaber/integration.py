@@ -22,7 +22,7 @@ from math import lcm
 from typing import Iterable
 
 from .direct import CoefficientRow
-from .rationals import ONE, ZERO, Rational
+from .rationals import ONE, ZERO
 
 __all__ = [
     "Polynomial",
@@ -36,10 +36,10 @@ __all__ = [
     "power_sum_polynomial_to_row",
 ]
 
-Polynomial = tuple[Rational, ...]
+Polynomial = tuple[Fraction, ...]
 
 
-def polynomial(coeffs: Iterable[Rational | int]) -> Polynomial:
+def polynomial(coeffs: Iterable[Fraction | int]) -> Polynomial:
     """Normalize a coefficient sequence: exact rationals, trailing zeros cut."""
     values = [Fraction(c) for c in coeffs]
     while values and values[-1] == 0:
@@ -47,7 +47,7 @@ def polynomial(coeffs: Iterable[Rational | int]) -> Polynomial:
     return tuple(values)
 
 
-def poly_eval(f: Polynomial, x: Rational) -> Rational:
+def poly_eval(f: Polynomial, x: Fraction) -> Fraction:
     """Exact value of f at x, by Horner's scheme on integers.
 
     With d the common denominator of the coefficients c_k, x = u/v and
@@ -74,7 +74,7 @@ def integrate_polynomial(f: Polynomial) -> Polynomial:
     return (ZERO,) + tuple(Fraction(c, k + 1) for k, c in enumerate(f))
 
 
-def eval_at_one(f: Polynomial) -> Rational:
+def eval_at_one(f: Polynomial) -> Fraction:
     """Value of f at 1, i.e. the sum of its coefficients."""
     return sum(f, start=ZERO)
 

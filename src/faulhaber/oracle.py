@@ -6,8 +6,10 @@ no shortcuts.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .direct import CoefficientRow
-from .rationals import ZERO, Rational
+from .rationals import ZERO
 
 __all__ = ["power_sum_bruteforce", "evaluate_row"]
 
@@ -21,7 +23,7 @@ def power_sum_bruteforce(p: int, n: int) -> int:
     return sum(k**p for k in range(1, n + 1))
 
 
-def evaluate_row(row: CoefficientRow, n: int) -> Rational:
+def evaluate_row(row: CoefficientRow, n: int) -> Fraction:
     """Exact value of a_1 n + ... + a_{p+1} n^{p+1}, by Horner's scheme.
 
     For a true Faulhaber row the result is an integer-valued rational

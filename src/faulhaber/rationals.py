@@ -1,37 +1,21 @@
-"""Exact rational scalars with canonical representation and optional
-operation counting.
+"""The counted cost model of the direct path.
 
-Every coefficient in this package is a `fractions.Fraction`: arbitrary
-precision, always reduced to lowest terms with a positive denominator, so
-structural equality coincides with value equality.  Python's `int` supplies
-the unbounded integers underneath; there is no floating point anywhere.
+Every coefficient in this package is a plain `fractions.Fraction`: exact,
+reduced, with `int` numerator and denominator and no floating point.  What
+this module adds is the cost model the paper states for the direct
+recurrence and that the benchmark and verification commands check.
 
-`OpCounter` is an observer for the cost model used by the benchmark and
-verification commands: it tallies additions/subtractions and
-multiplications performed *on rationals*.  Counting is opt-in — a counter
-is passed explicitly into the arithmetic helpers by the one computation
-that owns it; plain `Fraction` operator arithmetic stays uncounted.
+`OpCounter` tallies additions/subtractions and multiplications performed
+*on rationals*.  Counting is opt-in: a counter is passed explicitly into
+`rat_add`, `rat_sub` and `rat_mul` by the one computation that owns it;
+plain `Fraction` operator arithmetic stays uncounted.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = [
-    "Rational",
-    "ZERO",
-    "ONE",
-    "OpCounter",
-    "rat_normalize",
-    "rat_add",
-    "rat_sub",
-    "rat_mul",
-    "parse_rational",
-    "format_rational",
-]
-
-Rational = Fraction
+__all__ = ["ZERO", "ONE", "OpCounter", "rat_add", "rat_sub", "rat_mul"]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -50,51 +34,22 @@ class OpCounter:
     multiplications: int = 0
 
 
-def rat_normalize(numerator: int, denominator: int) -> Rational:
-    """Build the canonical reduced fraction numerator/denominator.
-
-    The result has gcd(|numerator|, denominator) == 1 and denominator >= 1;
-    zero is represented as 0/1.  A zero denominator raises
-    ZeroDivisionError.
-    """
-    return Fraction(numerator, denominator)
-
-
-def rat_add(a: Rational, b: Rational, counter: OpCounter | None = None) -> Rational:
+def rat_add(a: Fraction, b: Fraction, counter: OpCounter | None = None) -> Fraction:
     """Exact sum, tallied as one addition when a counter is attached."""
     if counter is not None:
         counter.additions += 1
     return a + b
 
 
-def rat_sub(a: Rational, b: Rational, counter: OpCounter | None = None) -> Rational:
+def rat_sub(a: Fraction, b: Fraction, counter: OpCounter | None = None) -> Fraction:
     """Exact difference; subtractions share the additions tally."""
     if counter is not None:
         counter.additions += 1
     return a - b
 
 
-def rat_mul(a: Rational, b: Rational, counter: OpCounter | None = None) -> Rational:
+def rat_mul(a: Fraction, b: Fraction, counter: OpCounter | None = None) -> Fraction:
     """Exact product, tallied as one multiplication when counted."""
     if counter is not None:
         counter.multiplications += 1
     return a * b
-
-
-# Accepted textual forms: "-3/4", "+2/6" (reduced on input), integer
-# shorthand "5".  Decimal or exponent notation is deliberately rejected.
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
-
-
-def parse_rational(text: str) -> Rational:
-    """Parse a rational literal such as '-3/4' or '5' into canonical form."""
-    candidate = text.strip()
-    if not _RATIONAL_RE.fullmatch(candidate):
-        raise ValueError(f"not a rational literal: {text!r}")
-    num, slash, den = candidate.partition("/")
-    return rat_normalize(int(num), int(den) if slash else 1)
-
-
-def format_rational(value: Rational) -> str:
-    """Canonical text: 'num/den' with the denominator omitted when it is 1."""
-    return str(value)

@@ -1,7 +1,7 @@
 """Bernoulli path: number tables against independent oracles, both sign
 conventions, the closed formula, and the polynomial identities."""
 from fractions import Fraction
-from math import isqrt, prod
+from math import comb, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +11,6 @@ import faulhaber.bernoulli
 from faulhaber import (
     bernoulli_numbers,
     bernoulli_polynomial,
-    binomial,
     check_difference_identity,
     check_integral_identity,
     check_power_sum_identity,
@@ -23,17 +22,6 @@ from faulhaber import (
 )
 
 F = Fraction
-
-
-def pascal_triangle(rows):
-    """Independent additive oracle for binomial coefficients."""
-    triangle = [[1]]
-    for _ in range(rows):
-        prev = triangle[-1]
-        triangle.append(
-            [1] + [prev[k] + prev[k + 1] for k in range(len(prev) - 1)] + [1]
-        )
-    return triangle
 
 
 def akiyama_tanigawa(limit):
@@ -49,21 +37,6 @@ def akiyama_tanigawa(limit):
 
 
 AKIYAMA_TANIGAWA_300 = akiyama_tanigawa(300)
-
-
-def test_binomial_against_pascal_triangle():
-    triangle = pascal_triangle(13)
-    for n in range(14):
-        for k in range(n + 1):
-            assert binomial(n, k) == triangle[n][k]
-    assert binomial(13, 6) == 1716 == triangle[13][6]
-
-
-def test_binomial_edge_cases():
-    assert binomial(4, 2) == 6
-    assert all(binomial(n, 0) == 1 for n in range(10))
-    assert binomial(3, 5) == 0
-    assert binomial(3, -1) == 0
 
 
 def test_anchor_values():
@@ -134,7 +107,7 @@ def test_polynomials_do_not_depend_on_request_order(monkeypatch):
     for i in (30, 3, 31, 0, 17, 31):
         table = bernoulli_numbers(i)
         fresh = polynomial(
-            binomial(i, k) * table.minus(k) for k in range(i, -1, -1)
+            comb(i, k) * table.minus(k) for k in range(i, -1, -1)
         )
         assert bernoulli_polynomial(i) == fresh
     assert len(faulhaber.bernoulli._polynomials) == 32

@@ -73,6 +73,24 @@ def test_json_round_trips_byte_identically(capsys):
     assert reparsed == emitted
 
 
+@pytest.mark.parametrize("p", [0, 1, 5, 40])
+@pytest.mark.parametrize("method", sorted(cli.METHODS))
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_emitted_values_round_trip_exactly(capsys, p, method, fmt):
+    _, out, _ = run_cli(capsys, "coeffs", str(p), "--method", method,
+                        "--format", fmt)
+    if fmt == "json":
+        texts = json.loads(out)["coefficients"]
+    else:
+        fields = [field.partition("=") for field in out.split()]
+        assert [key for key, _, _ in fields] == [f"a_{j}" for j in range(1, p + 2)]
+        texts = [text for _, _, text in fields]
+    row = cli.METHODS[method](p)
+    assert [Fraction(text) for text in texts] == list(row.coefficients)
+    for text, c in zip(texts, row.coefficients):
+        assert ("/" in text) == (c.denominator != 1)  # integers print bare
+
+
 def test_eval_values(capsys):
     assert run_cli(capsys, "eval", "2", "3")[:2] == (0, "14\n")
     assert run_cli(capsys, "eval", "5", "1")[:2] == (0, "1\n")
@@ -84,6 +102,23 @@ def test_eval_with_cross_check(capsys):
     assert code == 0
     assert out == f"{sum(k**6 for k in range(1, 26))}\n"
     assert err == ""
+
+
+def test_results_beyond_the_int_digit_limit_print_in_full(capsys):
+    # n = 10**4000 parses under the interpreter's default 4,300-digit limit;
+    # n(n+1)/2 = 5*10**7999 + 5*10**3999 has 8,000 digits and must print.
+    # The expected text is built without converting an int to str.
+    limits = hasattr(sys, "set_int_max_str_digits")
+    if limits:
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        code, out, err = run_cli(capsys, "eval", "1", "1" + "0" * 4000)
+    finally:
+        if limits:
+            sys.set_int_max_str_digits(previous)
+    assert (code, err) == (0, "")
+    assert out == "5" + "0" * 3999 + "5" + "0" * 3999 + "\n"
 
 
 @pytest.mark.parametrize(

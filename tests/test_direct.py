@@ -8,7 +8,6 @@ from faulhaber import (
     OpCounter,
     direct_coefficients,
     faulhaber_via_bernoulli,
-    next_row,
 )
 
 F = Fraction
@@ -29,26 +28,6 @@ def test_first_rows(p, expected):
 def test_squares_row_matches_known_formula():
     # 1^2 + ... + n^2 = n^3/3 + n^2/2 + n/6
     assert direct_coefficients(2).coefficients == (F(1, 6), F(1, 2), F(1, 3))
-
-
-def test_next_row_steps_between_known_rows():
-    row0 = CoefficientRow(0, FIRST_ROWS[0])
-    row1 = next_row(row0, 1)
-    assert row1.coefficients == FIRST_ROWS[1]
-    row2 = next_row(row1, 2)
-    assert row2.coefficients == FIRST_ROWS[2]
-    row3 = next_row(row2, 3)
-    assert row3.coefficients == FIRST_ROWS[3]
-
-
-def test_next_row_rejects_degree_mismatch():
-    with pytest.raises(ValueError):
-        next_row(CoefficientRow(1, FIRST_ROWS[1]), 3)
-
-
-def test_next_row_rejects_nonpositive_step():
-    with pytest.raises(ValueError):
-        next_row(CoefficientRow(0, FIRST_ROWS[0]), 0)
 
 
 def test_negative_exponent_rejected():
@@ -91,16 +70,6 @@ def test_row_laws(p):
 
 def test_row_for_tenth_powers_matches_bernoulli_path():
     assert direct_coefficients(10) == faulhaber_via_bernoulli(10)
-
-
-def test_stepping_reproduces_direct_rows_and_counts():
-    stepped = CoefficientRow(0, FIRST_ROWS[0])
-    step_counter = OpCounter()
-    for i in range(1, 13):
-        stepped = next_row(stepped, i, step_counter)
-    direct_counter = OpCounter()
-    assert stepped == direct_coefficients(12, direct_counter)
-    assert step_counter == direct_counter
 
 
 def test_row_validation():

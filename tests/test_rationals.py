@@ -1,40 +1,10 @@
-"""Exact rational layer: canonical form, counted arithmetic, text round trips."""
+"""The counted cost model: exact `rat_*` arithmetic and its `OpCounter` tallies."""
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from faulhaber import (
-    OpCounter,
-    format_rational,
-    parse_rational,
-    rat_add,
-    rat_mul,
-    rat_normalize,
-    rat_sub,
-)
-
-
-def test_normalize_reduces_to_lowest_terms():
-    assert rat_normalize(4, 6) == Fraction(2, 3)
-
-
-def test_normalize_moves_sign_to_numerator():
-    value = rat_normalize(3, -6)
-    assert value == Fraction(-1, 2)
-    assert value.denominator == 2
-
-
-def test_normalize_zero_is_zero_over_one():
-    value = rat_normalize(0, 7)
-    assert value.numerator == 0
-    assert value.denominator == 1
-
-
-def test_normalize_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        rat_normalize(1, 0)
+from faulhaber import OpCounter, rat_add, rat_mul, rat_sub
 
 
 def test_add_examples():
@@ -95,32 +65,3 @@ def test_results_are_canonical_and_round_trip(x):
 
     assert gcd(abs(x.numerator), x.denominator) == 1
     assert x.denominator >= 1
-    assert rat_normalize(x.numerator, x.denominator) == x
-
-
-def test_parse_accepts_fraction_and_integer_shorthand():
-    assert parse_rational("-3/4") == Fraction(-3, 4)
-    assert parse_rational("5") == Fraction(5)
-    assert parse_rational(" 4/6 ") == Fraction(2, 3)
-
-
-@pytest.mark.parametrize("bad", ["", "1.5", "3e2", "/4", "1/-2", "one"])
-def test_parse_rejects_non_rational_literals(bad):
-    with pytest.raises(ValueError):
-        parse_rational(bad)
-
-
-def test_parse_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        parse_rational("1/0")
-
-
-def test_format_omits_unit_denominator():
-    assert format_rational(Fraction(-3, 4)) == "-3/4"
-    assert format_rational(Fraction(5)) == "5"
-    assert format_rational(Fraction(0)) == "0"
-
-
-@given(st.fractions())
-def test_parse_format_round_trip(x):
-    assert parse_rational(format_rational(x)) == x
