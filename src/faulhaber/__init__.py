@@ -18,14 +18,12 @@ from .bernoulli import (
 from .direct import CoefficientRow, direct_coefficients
 from .integration import (
     Polynomial,
-    eval_at_one,
     integrate_polynomial,
     integration_coefficients,
     integration_step,
     poly_eval,
     polynomial,
     power_sum_polynomial_to_row,
-    row_to_polynomial,
 )
 from .oracle import evaluate_row, power_sum_bruteforce
 from .rationals import ONE, ZERO, OpCounter, rat_add, rat_mul, rat_sub
@@ -45,7 +43,6 @@ __all__ = [
     "check_integral_identity",
     "check_power_sum_identity",
     "direct_coefficients",
-    "eval_at_one",
     "evaluate_row",
     "faulhaber_via_bernoulli",
     "integrate_polynomial",
@@ -58,5 +55,4 @@ __all__ = [
     "rat_add",
     "rat_mul",
     "rat_sub",
-    "row_to_polynomial",
 ]

@@ -55,12 +55,6 @@ class BernoulliTable:
     values_minus: tuple[Fraction, ...]
     values_plus: tuple[Fraction, ...]
 
-    def minus(self, k: int) -> Fraction:
-        return self.values_minus[k]
-
-    def plus(self, k: int) -> Fraction:
-        return self.values_plus[k]
-
 
 # Minus-convention numbers b_0..b_k computed so far, shared by every table.
 # Requests beyond it replace it whole by a longer copy; entries never change.
@@ -108,11 +102,11 @@ def faulhaber_via_bernoulli(p: int) -> CoefficientRow:
     """
     if p < 0:
         raise ValueError(f"exponent must be >= 0, got {p}")
-    table = bernoulli_numbers(p)
+    plus = bernoulli_numbers(p).values_plus
     coeffs: list[Fraction] = [ZERO] * (p + 1)
     for i in range(p + 1):
         power = p + 1 - i
-        coeffs[power - 1] = comb(p + 1, i) * table.plus(i) / (p + 1)
+        coeffs[power - 1] = comb(p + 1, i) * plus[i] / (p + 1)
     return CoefficientRow(p, tuple(coeffs))
 
 
@@ -132,10 +126,10 @@ def bernoulli_polynomial(i: int) -> Polynomial:
     if i < 0:
         raise ValueError(f"polynomial index must be >= 0, got {i}")
     if len(_polynomials) <= i:
-        table = bernoulli_numbers(i)
+        minus = bernoulli_numbers(i).values_minus
         _polynomials += tuple(
             polynomial(
-                comb(j, j - power) * table.minus(j - power)
+                comb(j, j - power) * minus[j - power]
                 for power in range(j + 1)
             )
             for j in range(len(_polynomials), i + 1)

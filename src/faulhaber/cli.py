@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .bernoulli import (
     bernoulli_numbers,
@@ -60,9 +60,9 @@ METHODS: dict[str, Callable[[int], CoefficientRow]] = {
 # is allowed: the guard only warns.
 SOFT_DEGREE_LIMIT = 10000
 
-# Fixed default ranges for the identity checks run by `verify`.
+# Fixed default ranges for the identity checks run by `verify`; each check
+# runs over every combination of its ranges.
 POWER_SUM_IDENTITY_RANGE = (range(1, 31), range(1, 21))  # p, n
-INTEGRAL_IDENTITY_INDICES = range(0, 31)
 INTEGRAL_IDENTITY_ENDPOINTS = (
     Fraction(0),
     Fraction(1),
@@ -70,6 +70,8 @@ INTEGRAL_IDENTITY_ENDPOINTS = (
     Fraction(-1),
     Fraction(2),
 )
+INTEGRAL_IDENTITY_RANGE = (  # i, a, b
+    range(0, 31), INTEGRAL_IDENTITY_ENDPOINTS, INTEGRAL_IDENTITY_ENDPOINTS)
 DIFFERENCE_IDENTITY_RANGE = (range(2, 31), range(0, 21))  # i, n
 
 
@@ -100,31 +102,24 @@ def format_json(row: CoefficientRow) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def _latex_magnitude(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return rf"\frac{{{value.numerator}}}{{{value.denominator}}}"
-
-
 def format_latex(row: CoefficientRow) -> str:
     """Render descending by power, omitting zero terms and unit coefficients."""
-    parts: list[tuple[str, str]] = []
+    parts: list[str] = []
     for power in range(row.degree + 1, 0, -1):
         c = row.coefficient(power)
         if c == 0:
             continue
-        sign = "-" if c < 0 else "+"
-        magnitude = abs(c)
-        variable = "n" if power == 1 else f"n^{{{power}}}"
-        body = variable if magnitude == 1 else _latex_magnitude(magnitude) + variable
-        parts.append((sign, body))
-    rendered = []
-    for k, (sign, body) in enumerate(parts):
-        if k == 0:
-            rendered.append(body if sign == "+" else "-" + body)
-        else:
-            rendered.append(sign + body)
-    return "".join(rendered)
+        if c < 0:
+            parts.append("-")
+        elif parts:
+            parts.append("+")
+        c = abs(c)
+        if c.denominator != 1:
+            parts.append(rf"\frac{{{c.numerator}}}{{{c.denominator}}}")
+        elif c != 1:
+            parts.append(str(c.numerator))
+        parts.append("n" if power == 1 else f"n^{{{power}}}")
+    return "".join(parts)
 
 
 FORMATTERS: dict[str, Callable[[CoefficientRow], str]] = {
@@ -206,31 +201,31 @@ def _first_difference(a: CoefficientRow, b: CoefficientRow) -> int | None:
     return None
 
 
+def _tally(check: Callable[..., bool], *ranges: Iterable) -> tuple[int, int]:
+    """(checked, failed) of `check` over every combination of `ranges`."""
+    results = [check(*args) for args in itertools.product(*ranges)]
+    return len(results), results.count(False)
+
+
 def _identity_tallies() -> dict[str, tuple[int, int]]:
-    checked = failed = 0
-    p_range, n_range = POWER_SUM_IDENTITY_RANGE
-    for p in p_range:
-        for n in n_range:
-            checked += 1
-            failed += not check_power_sum_identity(p, n)
-    tallies = {"power-sum identity": (checked, failed)}
+    # The checks are looked up at call time, not kept in a table built at
+    # import: a tracer that swaps the module globals must see every call.
+    return {
+        "power-sum identity": _tally(check_power_sum_identity, *POWER_SUM_IDENTITY_RANGE),
+        "integral identity": _tally(check_integral_identity, *INTEGRAL_IDENTITY_RANGE),
+        "difference identity": _tally(check_difference_identity, *DIFFERENCE_IDENTITY_RANGE),
+    }
 
-    checked = failed = 0
-    for i in INTEGRAL_IDENTITY_INDICES:
-        for a in INTEGRAL_IDENTITY_ENDPOINTS:
-            for b in INTEGRAL_IDENTITY_ENDPOINTS:
-                checked += 1
-                failed += not check_integral_identity(i, a, b)
-    tallies["integral identity"] = (checked, failed)
 
-    checked = failed = 0
-    i_range, n_range = DIFFERENCE_IDENTITY_RANGE
-    for i in i_range:
-        for n in n_range:
-            checked += 1
-            failed += not check_difference_identity(i, n)
-    tallies["difference identity"] = (checked, failed)
-    return tallies
+def _counted_pass(degrees: Iterable[int]) -> Iterator[tuple[int, int, int, bool]]:
+    """Direct rows for the ascending `degrees` on one running counter: after
+    each p, yield p, the additions and multiplications so far (those of
+    building row p from scratch) and whether they match the formulas."""
+    counter = OpCounter()
+    for p in degrees:
+        direct_coefficients(p, counter)
+        counts = counter.additions, counter.multiplications
+        yield p, *counts, counts == (predicted_additions(p), predicted_multiplications(p))
 
 
 def run_verification(
@@ -242,9 +237,8 @@ def run_verification(
     ranges.
 
     Both degree passes ascend, so each built-in path continues from the
-    degree before instead of starting over.  The first pass hands one
-    running counter to the direct path and checks its totals at every
-    degree; the second compares the rows of every path pair.
+    degree before instead of starting over.  The first is the counted pass
+    of `bench`; the second compares the rows of every path pair.
     """
     if p_max < 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
@@ -252,14 +246,7 @@ def run_verification(
         methods = dict(METHODS)
 
     degrees = range(p_max + 1)
-    counter = OpCounter()
-    op_count_ok = []
-    for p in degrees:
-        direct_coefficients(p, counter)
-        op_count_ok.append(
-            counter.additions == predicted_additions(p)
-            and counter.multiplications == predicted_multiplications(p)
-        )
+    op_count_ok = [ok for *_, ok in _counted_pass(degrees)]
 
     mismatches = []
     for p in degrees:
@@ -298,13 +285,18 @@ def bench_schedule(p_max: int) -> list[int]:
 # Argument parsing and handlers
 
 
+def _clip(text: str) -> str:  # an echoed argument may be megabytes long
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _natural(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {_clip(repr(text))}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a value >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"expected a value >= 0, got {_clip(str(value))}")
     return value
 
 
@@ -365,23 +357,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     print(header)
     all_match = True
-    # One ascending pass with a running counter: after degree p it holds the
-    # totals, and `seconds` the time, of building row p from scratch.
-    counter = OpCounter()
+    # `seconds` is the time from the start of the pass to degree p, that is
+    # of building row p from scratch.
     start = time.perf_counter()
-    for p in bench_schedule(args.p_max):
-        direct_coefficients(p, counter)
+    for p, additions, multiplications, ok in _counted_pass(bench_schedule(args.p_max)):
         elapsed = time.perf_counter() - start
-        expected_add = predicted_additions(p)
-        expected_mul = predicted_multiplications(p)
-        all_match &= (
-            counter.additions == expected_add
-            and counter.multiplications == expected_mul
-        )
-        print(
-            f"{p:>6} {counter.additions:>12} {counter.multiplications:>16} "
-            f"{expected_add:>14} {expected_mul:>14} {elapsed:>10.6f}"
-        )
+        all_match &= ok
+        print(f"{p:>6} {additions:>12} {multiplications:>16} {predicted_additions(p):>14} "
+              f"{predicted_multiplications(p):>14} {elapsed:>10.6f}")
     if not all_match:
         print("error: measured operation counts deviate from the formulas",
               file=sys.stderr)
@@ -450,13 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # Results are exact integers of any size (`bernoulli 2400` prints
-    # numerators past the interpreter's default 4,300-digit limit); parsing
-    # the arguments above still runs under that limit.  Python before
-    # 3.10.7 has no limit.
+    # Arguments and results are exact integers of any size: `eval 1 N` takes
+    # an N of 5,000 digits, and `bernoulli 2400` prints numerators past the
+    # interpreter's default 4,300-digit limit, so lift it before parsing.
+    # Python before 3.10.7 has no limit.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+    args = build_parser().parse_args(argv)
     status = 0
     try:
         status = args.handler(args)

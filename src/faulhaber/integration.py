@@ -29,10 +29,8 @@ __all__ = [
     "polynomial",
     "poly_eval",
     "integrate_polynomial",
-    "eval_at_one",
     "integration_step",
     "integration_coefficients",
-    "row_to_polynomial",
     "power_sum_polynomial_to_row",
 ]
 
@@ -47,7 +45,7 @@ def polynomial(coeffs: Iterable[Fraction | int]) -> Polynomial:
     return tuple(values)
 
 
-def poly_eval(f: Polynomial, x: Fraction) -> Fraction:
+def poly_eval(f: Polynomial, x: Fraction | int) -> Fraction:
     """Exact value of f at x, by Horner's scheme on integers.
 
     With d the common denominator of the coefficients c_k, x = u/v and
@@ -74,11 +72,6 @@ def integrate_polynomial(f: Polynomial) -> Polynomial:
     return (ZERO,) + tuple(Fraction(c, k + 1) for k, c in enumerate(f))
 
 
-def eval_at_one(f: Polynomial) -> Fraction:
-    """Value of f at 1, i.e. the sum of its coefficients."""
-    return sum(f, start=ZERO)
-
-
 def integration_step(f_prev: Polynomial, p: int) -> Polynomial:
     """One recurrence step: the power-sum polynomial of degree p + 1 from
     the one of degree p (f_prev represents f_{p-1}).
@@ -89,7 +82,7 @@ def integration_step(f_prev: Polynomial, p: int) -> Polynomial:
     if p < 1:
         raise ValueError(f"integration recurrence needs p >= 1, got {p}")
     antiderivative = integrate_polynomial(f_prev)
-    correction = ONE - p * eval_at_one(antiderivative)
+    correction = ONE - p * sum(antiderivative, start=ZERO)
     if not antiderivative:
         return (ZERO, correction)
     # A Fraction factor, not the int p: int * Fraction builds a new Fraction
@@ -124,11 +117,6 @@ def integration_coefficients(p: int) -> CoefficientRow:
         f = integration_step(f, i)
     _last = (p, f)
     return power_sum_polynomial_to_row(f)
-
-
-def row_to_polynomial(row: CoefficientRow) -> Polynomial:
-    """The row as a polynomial in n, with the implicit zero constant added."""
-    return polynomial((ZERO,) + row.coefficients)
 
 
 def power_sum_polynomial_to_row(f: Polynomial) -> CoefficientRow:

@@ -2,14 +2,15 @@
 and exact evaluation of a coefficient row.
 
 Every equivalence test in the package bottoms out here — no closed forms,
-no shortcuts.
+no shortcuts.  A row is evaluated through `integration.poly_eval`, the
+integer Horner scheme the Bernoulli identity checks use too.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .direct import CoefficientRow
-from .rationals import ZERO
+from .integration import poly_eval
 
 __all__ = ["power_sum_bruteforce", "evaluate_row"]
 
@@ -24,14 +25,11 @@ def power_sum_bruteforce(p: int, n: int) -> int:
 
 
 def evaluate_row(row: CoefficientRow, n: int) -> Fraction:
-    """Exact value of a_1 n + ... + a_{p+1} n^{p+1}, by Horner's scheme.
+    """Exact value of a_1 n + ... + a_{p+1} n^{p+1}, by integer Horner.
 
     For a true Faulhaber row the result is an integer-valued rational
     (denominator 1).
     """
     if n < 1:
         raise ValueError(f"rows are evaluated at n >= 1, got {n}")
-    acc = ZERO
-    for c in reversed(row.coefficients):
-        acc = acc * n + c
-    return acc * n
+    return n * poly_eval(row.coefficients, n)

@@ -139,10 +139,10 @@ def test_c7_bernoulli_polynomial_identities():
 
 def test_c8_bernoulli_anchor_values():
     table = bernoulli_numbers(4)
-    assert table.plus(1) == F(1, 2)
-    assert table.plus(2) == F(1, 6)
-    assert table.plus(3) == 0
-    assert table.plus(4) == F(-1, 30)
+    assert table.values_plus[1] == F(1, 2)
+    assert table.values_plus[2] == F(1, 6)
+    assert table.values_plus[3] == 0
+    assert table.values_plus[4] == F(-1, 30)
     elapsed = best_seconds(lambda: bernoulli_numbers(4))
     assert elapsed < 0.001
     report("8. Bernoulli anchors b1+=1/2, b2=1/6, b3=0, b4=-1/30")

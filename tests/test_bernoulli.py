@@ -41,11 +41,11 @@ AKIYAMA_TANIGAWA_300 = akiyama_tanigawa(300)
 
 def test_anchor_values():
     table = bernoulli_numbers(4)
-    assert table.plus(1) == F(1, 2)
-    assert table.minus(1) == F(-1, 2)
-    assert table.plus(2) == F(1, 6)
-    assert table.plus(3) == 0
-    assert table.plus(4) == F(-1, 30)
+    assert table.values_plus[1] == F(1, 2)
+    assert table.values_minus[1] == F(-1, 2)
+    assert table.values_plus[2] == F(1, 6)
+    assert table.values_plus[3] == 0
+    assert table.values_plus[4] == F(-1, 30)
 
 
 def test_table_matches_akiyama_tanigawa_oracle():
@@ -55,12 +55,12 @@ def test_table_matches_akiyama_tanigawa_oracle():
 def test_table_shape_and_conventions():
     table = bernoulli_numbers(50)
     assert table.limit == 50
-    assert table.minus(0) == table.plus(0) == 1
-    assert table.plus(1) == -table.minus(1) == F(1, 2)
+    assert table.values_minus[0] == table.values_plus[0] == 1
+    assert table.values_plus[1] == -table.values_minus[1] == F(1, 2)
     for k in range(2, 51):
-        assert table.plus(k) == table.minus(k)
+        assert table.values_plus[k] == table.values_minus[k]
     for k in range(3, 51, 2):
-        assert table.plus(k) == 0
+        assert table.values_plus[k] == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -78,7 +78,7 @@ def test_denominators_follow_von_staudt_clausen():
     for index in range(2, 401, 2):
         primes = [q for q in range(2, index + 2)
                   if all(q % d for d in range(2, isqrt(q) + 1)) and index % (q - 1) == 0]
-        assert table.minus(index).denominator == prod(primes)
+        assert table.values_minus[index].denominator == prod(primes)
 
 
 def test_negative_limit_rejected():
@@ -107,7 +107,7 @@ def test_polynomials_do_not_depend_on_request_order(monkeypatch):
     for i in (30, 3, 31, 0, 17, 31):
         table = bernoulli_numbers(i)
         fresh = polynomial(
-            comb(i, k) * table.minus(k) for k in range(i, -1, -1)
+            comb(i, k) * table.values_minus[k] for k in range(i, -1, -1)
         )
         assert bernoulli_polynomial(i) == fresh
     assert len(faulhaber.bernoulli._polynomials) == 32
@@ -117,8 +117,8 @@ def test_polynomials_do_not_depend_on_request_order(monkeypatch):
 def test_polynomial_interpolates_both_conventions(i):
     table = bernoulli_numbers(i)
     b_poly = bernoulli_polynomial(i)
-    assert poly_eval(b_poly, F(0)) == table.minus(i)
-    assert poly_eval(b_poly, F(1)) == table.plus(i)
+    assert poly_eval(b_poly, F(0)) == table.values_minus[i]
+    assert poly_eval(b_poly, F(1)) == table.values_plus[i]
 
 
 def test_power_sum_identity_example():

@@ -104,21 +104,45 @@ def test_eval_with_cross_check(capsys):
     assert err == ""
 
 
-def test_results_beyond_the_int_digit_limit_print_in_full(capsys):
-    # n = 10**4000 parses under the interpreter's default 4,300-digit limit;
-    # n(n+1)/2 = 5*10**7999 + 5*10**3999 has 8,000 digits and must print.
-    # The expected text is built without converting an int to str.
-    limits = hasattr(sys, "set_int_max_str_digits")
-    if limits:
-        previous = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+@pytest.fixture
+def default_digit_limit():
+    """Run under the interpreter's default 4,300-digit limit on int/str
+    conversion, which `cli.main` lifts; restore the previous limit after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     try:
-        code, out, err = run_cli(capsys, "eval", "1", "1" + "0" * 4000)
+        yield
     finally:
-        if limits:
-            sys.set_int_max_str_digits(previous)
+        sys.set_int_max_str_digits(previous)
+
+
+def test_results_beyond_the_int_digit_limit_print_in_full(capsys, default_digit_limit):
+    # n = 10**4000 parses under the default limit; n(n+1)/2 =
+    # 5*10**7999 + 5*10**3999 has 8,000 digits and must print.  The expected
+    # text is built without converting an int to str.
+    code, out, err = run_cli(capsys, "eval", "1", "1" + "0" * 4000)
     assert (code, err) == (0, "")
     assert out == "5" + "0" * 3999 + "5" + "0" * 3999 + "\n"
+
+
+def test_arguments_beyond_the_int_digit_limit_parse(capsys, default_digit_limit):
+    # n = 10**5000 has more digits than int() parses under the default limit.
+    code, out, err = run_cli(capsys, "eval", "1", "1" + "0" * 5000)
+    assert (code, err) == (0, "")
+    assert out == "5" + "0" * 4999 + "5" + "0" * 4999 + "\n"
+
+
+def test_overlong_non_integer_is_echoed_in_short(capsys, default_digit_limit):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["eval", "1", "1" + "0" * 4998 + "x"])
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: argument n: expected an integer, got '100" in err
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize(
@@ -272,6 +296,18 @@ def test_bench_counts_match_predictions(capsys):
     assert rows["100"][1:5] == ["5150", "5050", "5150", "5050"]
     for fields in rows.values():
         assert fields[1] == fields[3] and fields[2] == fields[4]
+
+
+def test_bench_reports_wrong_operation_count(capsys, monkeypatch):
+    genuine = cli.predicted_multiplications
+    monkeypatch.setattr(
+        cli, "predicted_multiplications", lambda p: genuine(p) + (p == 4))
+    code, out, err = run_cli(capsys, "bench", "8")
+    assert code == 1
+    assert err == "error: measured operation counts deviate from the formulas\n"
+    rows = [line.split()[:5] for line in out.splitlines()[1:]]
+    assert [fields[0] for fields in rows] == ["0", "1", "2", "4", "8"]
+    assert rows[3] == ["4", "14", "10", "14", "11"]
 
 
 def test_bench_includes_cubes_row(capsys):

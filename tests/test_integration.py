@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 from faulhaber import (
     direct_coefficients,
-    eval_at_one,
     integrate_polynomial,
     integration_coefficients,
     integration_step,
     poly_eval,
     polynomial,
     power_sum_polynomial_to_row,
-    row_to_polynomial,
 )
 
 F = Fraction
@@ -24,6 +22,11 @@ F = Fraction
 def differentiate(f):
     """Test-local derivative, the independent inverse of integration."""
     return polynomial(k * f[k] for k in range(1, len(f)))
+
+
+def row_to_polynomial(row):
+    """The row as a polynomial in n, with the implicit zero constant added."""
+    return polynomial((0,) + row.coefficients)
 
 
 def test_integrate_power_rule():
@@ -61,18 +64,6 @@ def test_integrate_constant_plus_linear():
 def test_differentiation_undoes_integration(coeffs):
     f = polynomial(coeffs)
     assert differentiate(integrate_polynomial(f)) == f
-
-
-def test_eval_at_one_sums_coefficients():
-    assert eval_at_one(polynomial([0, F(1, 4), F(1, 6)])) == F(5, 12)
-    assert eval_at_one(()) == 0
-    assert eval_at_one(polynomial([F(1, 6), F(1, 2), F(1, 3)])) == 1
-
-
-@given(st.lists(st.fractions(), max_size=8))
-def test_eval_at_one_agrees_with_horner(coeffs):
-    f = polynomial(coeffs)
-    assert eval_at_one(f) == poly_eval(f, F(1))
 
 
 def horner_oracle(f, x):

@@ -1,7 +1,11 @@
 """Brute-force ground truth and exact row evaluation."""
-import pytest
+from fractions import Fraction
 
-from faulhaber import direct_coefficients, evaluate_row, power_sum_bruteforce
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from faulhaber import cli, direct_coefficients, evaluate_row, power_sum_bruteforce
 
 
 def test_brute_force_values():
@@ -40,3 +44,15 @@ def test_rows_agree_with_brute_force(p):
         value = evaluate_row(row, n)
         assert value.denominator == 1
         assert value == power_sum_bruteforce(p, n)
+
+
+@pytest.mark.parametrize("method", sorted(cli.METHODS))
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(0, 60), n=st.integers(1, 10**40))
+@example(p=60, n=10**40)
+def test_evaluate_row_matches_the_definition_at_large_n(method, p, n):
+    # Far beyond brute force: the row's polynomial summed term by term.
+    row = cli.METHODS[method](p)
+    value = evaluate_row(row, n)
+    assert type(value) is Fraction and value.denominator == 1
+    assert value == sum(c * n**k for k, c in enumerate(row.coefficients, 1))
