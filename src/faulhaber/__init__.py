@@ -1,9 +1,11 @@
 """Exact computation of Faulhaber formulae.
 
 The coefficients of the polynomial equal to 1^p + ... + n^p are computed
-three independent ways — a direct row-by-row recurrence, a symbolic
-integration recurrence, and the classical Bernoulli-number formula — and
-can be cross-verified against each other and against brute-force sums.
+three ways — a direct row-by-row recurrence, a symbolic integration
+recurrence, and the classical Bernoulli-number formula — and can be
+cross-verified against each other and against brute-force sums.  The two
+recurrences are separate code for the same arithmetic; the Bernoulli
+formula shares none with them.
 All arithmetic is exact rational; there is no floating point.
 """
 from .bernoulli import (

@@ -18,10 +18,10 @@ command runs them over fixed ranges.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from ._record import FrozenRecord
 from .direct import CoefficientRow
 from .integration import (
     Polynomial,
@@ -43,17 +43,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
+class BernoulliTable(FrozenRecord):
     """Bernoulli numbers b_0..b_limit in both sign conventions.
 
     values_minus[1] == -1/2 and values_plus[1] == +1/2; every other index
     agrees between the two.  Odd indices >= 3 are zero.
     """
 
+    __slots__ = ("limit", "values_minus", "values_plus")
     limit: int
     values_minus: tuple[Fraction, ...]
     values_plus: tuple[Fraction, ...]
+
+    def __init__(
+        self,
+        limit: int,
+        values_minus: tuple[Fraction, ...],
+        values_plus: tuple[Fraction, ...],
+    ) -> None:
+        super().__init__(limit, values_minus, values_plus)
 
 
 # Minus-convention numbers b_0..b_k computed so far, shared by every table.
@@ -137,6 +145,21 @@ def bernoulli_polynomial(i: int) -> Polynomial:
     return _polynomials[i]
 
 
+# Antiderivatives (zero constant term) of B_0..B_k, kept like _polynomials.
+_antiderivatives: tuple[Polynomial, ...] = ()
+
+
+def _antiderivative(i: int) -> Polynomial:
+    """The symbolic antiderivative of B_i, integrated once per process."""
+    global _antiderivatives
+    if len(_antiderivatives) <= i:
+        _antiderivatives += tuple(
+            integrate_polynomial(bernoulli_polynomial(j))
+            for j in range(len(_antiderivatives), i + 1)
+        )
+    return _antiderivatives[i]
+
+
 def check_power_sum_identity(p: int, n: int) -> bool:
     """Does f_{p-1}(n) equal (B_p(n+1) - B_p(1)) / p?  Exact, brute-force left side.
 
@@ -155,12 +178,12 @@ def check_power_sum_identity(p: int, n: int) -> bool:
 def check_integral_identity(i: int, a: Fraction, b: Fraction) -> bool:
     """Does the integral of B_i over [a, b] equal (B_{i+1}(b) - B_{i+1}(a))/(i+1)?
 
-    The left side is integrated symbolically and evaluated at the
-    endpoints; both sides are exact rationals.
+    The left side is integrated symbolically, once per B_i, and evaluated
+    at the endpoints; both sides are exact rationals.
     """
     if i < 0:
         raise ValueError(f"polynomial index must be >= 0, got {i}")
-    antiderivative = integrate_polynomial(bernoulli_polynomial(i))
+    antiderivative = _antiderivative(i)
     left = poly_eval(antiderivative, b) - poly_eval(antiderivative, a)
     successor = bernoulli_polynomial(i + 1)
     right = (poly_eval(successor, b) - poly_eval(successor, a)) / (i + 1)

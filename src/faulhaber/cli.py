@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
 
+from ._record import FrozenRecord, Record
 from .bernoulli import (
     bernoulli_numbers,
     check_difference_identity,
@@ -60,6 +59,11 @@ METHODS: dict[str, Callable[[int], CoefficientRow]] = {
 # is allowed: the guard only warns.
 SOFT_DEGREE_LIMIT = 10000
 
+# `eval --check` adds n big-integer powers one by one.  At n = 10**6 that
+# took 0.1 s for p = 1, about 1 s for p = 40-50 and 1.3 s for p = 60
+# (Python 3.11.7, best of 3).  Above it, the check warns as the guard does.
+BRUTE_FORCE_LIMIT = 10**6
+
 # Fixed default ranges for the identity checks run by `verify`; each check
 # runs over every combination of its ranges.
 POWER_SUM_IDENTITY_RANGE = (range(1, 31), range(1, 21))  # p, n
@@ -94,6 +98,8 @@ def format_plain(row: CoefficientRow) -> str:
 
 
 def format_json(row: CoefficientRow) -> str:
+    import json  # only this formatter needs it: keep it out of start-up
+
     # Rationals travel as strings so no JSON consumer can lose exactness.
     payload = {
         "p": row.degree,
@@ -133,22 +139,40 @@ FORMATTERS: dict[str, Callable[[CoefficientRow], str]] = {
 # Cross-verification
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(FrozenRecord):
     """First point of disagreement between two paths at one degree."""
 
+    __slots__ = ("p", "pair", "power")
     p: int
     pair: str
     power: int  # 1-based power j whose coefficient a_j differs first
 
+    def __init__(self, p: int, pair: str, power: int) -> None:
+        super().__init__(p, pair, power)
 
-@dataclass
-class VerifyReport:
+
+class VerifyReport(Record):
+    __slots__ = (
+        "p_max", "paths_compared", "mismatches", "op_count_ok", "identity_tallies")
     p_max: int
     paths_compared: tuple[str, ...]
     mismatches: tuple[Mismatch, ...]
     op_count_ok: tuple[bool, ...]  # indexed by p = 0..p_max
     identity_tallies: dict[str, tuple[int, int]]  # label -> (checked, failed)
+
+    def __init__(
+        self,
+        p_max: int,
+        paths_compared: tuple[str, ...],
+        mismatches: tuple[Mismatch, ...],
+        op_count_ok: tuple[bool, ...],
+        identity_tallies: dict[str, tuple[int, int]],
+    ) -> None:
+        self.p_max = p_max
+        self.paths_compared = paths_compared
+        self.mismatches = mismatches
+        self.op_count_ok = op_count_ok
+        self.identity_tallies = identity_tallies
 
     @property
     def passed(self) -> bool:
@@ -307,24 +331,26 @@ def _positive(text: str) -> int:
     return value
 
 
-def _warn_if_huge(value: int, name: str = "p") -> None:
-    if value > SOFT_DEGREE_LIMIT:
+def _warn_if_huge(name: str, value: int, limit: int) -> None:
+    if value > limit:
         print(
-            f"warning: {name} = {value} is above {SOFT_DEGREE_LIMIT}; "
+            f"warning: {name} = {value} is above {limit}; "
             "this may take a very long time",
             file=sys.stderr,
         )
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
-    _warn_if_huge(args.p)
+    _warn_if_huge("p", args.p, SOFT_DEGREE_LIMIT)
     row = METHODS[args.method](args.p)
     print(FORMATTERS[args.format](row))
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    _warn_if_huge(args.p)
+    _warn_if_huge("p", args.p, SOFT_DEGREE_LIMIT)
+    if args.check:
+        _warn_if_huge("n", args.n, BRUTE_FORCE_LIMIT)
     value = evaluate_row(METHODS["direct"](args.p), args.n)
     if value.denominator != 1:
         print(
@@ -343,14 +369,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _warn_if_huge(args.p_max)
+    _warn_if_huge("p", args.p_max, SOFT_DEGREE_LIMIT)
     report = run_verification(args.p_max)
     print(report.render())
     return 0 if report.passed else 1
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    _warn_if_huge(args.p_max)
+    _warn_if_huge("p", args.p_max, SOFT_DEGREE_LIMIT)
     header = (
         f"{'p':>6} {'additions':>12} {'multiplications':>16} "
         f"{'predicted_add':>14} {'predicted_mul':>14} {'seconds':>10}"
@@ -373,7 +399,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
-    _warn_if_huge(args.m, "m")
+    _warn_if_huge("m", args.m, SOFT_DEGREE_LIMIT)
     table = bernoulli_numbers(args.m)
     values = table.values_plus if args.convention == "plus" else table.values_minus
     for i, value in enumerate(values):

@@ -13,16 +13,15 @@ caller walking the degrees upward pays for each step once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import FrozenRecord
 from .rationals import ONE, ZERO, OpCounter, rat_add, rat_mul, rat_sub
 
 __all__ = ["CoefficientRow", "direct_coefficients"]
 
 
-@dataclass(frozen=True)
-class CoefficientRow:
+class CoefficientRow(FrozenRecord):
     """Coefficients a_1..a_{p+1} of the polynomial equal to 1^p + ... + n^p.
 
     `coefficients[j - 1]` holds the coefficient of n^j, ascending by power.
@@ -36,17 +35,19 @@ class CoefficientRow:
     corrupted rows can be built when exercising mismatch detection.
     """
 
+    __slots__ = ("degree", "coefficients")
     degree: int
     coefficients: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
-        if len(self.coefficients) != self.degree + 1:
+    def __init__(self, degree: int, coefficients: tuple[Fraction, ...]) -> None:
+        if degree < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
+        if len(coefficients) != degree + 1:
             raise ValueError(
-                f"a row of degree {self.degree} holds {self.degree + 1} "
-                f"coefficients, got {len(self.coefficients)}"
+                f"a row of degree {degree} holds {degree + 1} "
+                f"coefficients, got {len(coefficients)}"
             )
+        super().__init__(degree, coefficients)
 
     def coefficient(self, power: int) -> Fraction:
         """The coefficient of n**power, for 1 <= power <= degree + 1."""

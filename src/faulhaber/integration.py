@@ -1,5 +1,5 @@
-"""Second, independent computation path: build f_p from f_{p-1} by exact
-symbolic integration.
+"""Second computation path: build f_p from f_{p-1} by exact symbolic
+integration.
 
 The recurrence is
 
@@ -8,7 +8,9 @@ The recurrence is
 
 for p > 0.  Both definite integrals come from one antiderivative with zero
 constant term: over [0, n] it is the antiderivative itself, over [0, 1] it
-is the antiderivative evaluated at 1.
+is the antiderivative evaluated at 1.  Term by term this is the direct
+recurrence (the coefficient of n^(k+1) is p * c_k / (k+1), the linear one
+1 minus the rest), computed by separate code in another order.
 
 Polynomials here are dense tuples of rationals, ascending by power, with
 trailing zeros trimmed; the zero polynomial is the empty tuple.  This
@@ -17,9 +19,9 @@ applies to the direct algorithm only.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
 
 from .direct import CoefficientRow
 from .rationals import ONE, ZERO

@@ -12,8 +12,9 @@ plain `Fraction` operator arithmetic stays uncounted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._record import Record
 
 __all__ = ["ZERO", "ONE", "OpCounter", "rat_add", "rat_sub", "rat_mul"]
 
@@ -21,8 +22,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass
-class OpCounter:
+class OpCounter(Record):
     """Running tally of counted rational operations.
 
     Subtractions count toward `additions`.  Loop-index bookkeeping,
@@ -30,8 +30,13 @@ class OpCounter:
     free under this cost model.
     """
 
-    additions: int = 0
-    multiplications: int = 0
+    __slots__ = ("additions", "multiplications")
+    additions: int
+    multiplications: int
+
+    def __init__(self, additions: int = 0, multiplications: int = 0) -> None:
+        self.additions = additions
+        self.multiplications = multiplications
 
 
 def rat_add(a: Fraction, b: Fraction, counter: OpCounter | None = None) -> Fraction:

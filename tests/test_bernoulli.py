@@ -16,6 +16,7 @@ from faulhaber import (
     check_power_sum_identity,
     direct_coefficients,
     faulhaber_via_bernoulli,
+    integrate_polynomial,
     poly_eval,
     polynomial,
     power_sum_bruteforce,
@@ -146,6 +147,23 @@ def test_integral_identity_small_range(i):
 
 def test_integral_identity_example():
     assert check_integral_identity(2, F(0), F(1))
+
+
+def test_antiderivatives_are_integrated_once(monkeypatch):
+    # Start with none integrated, so that the checks extend the shared tuple
+    # out of order: each B_i is integrated symbolically exactly once.
+    integrated = []
+
+    def counted(f):
+        integrated.append(f)
+        return integrate_polynomial(f)
+
+    monkeypatch.setattr(faulhaber.bernoulli, "_antiderivatives", ())
+    monkeypatch.setattr(faulhaber.bernoulli, "integrate_polynomial", counted)
+    for i in (30, 3, 0, 17, 30):
+        assert all(check_integral_identity(i, a, b) for a in ENDPOINTS for b in ENDPOINTS)
+    assert integrated == [bernoulli_polynomial(i) for i in range(31)]
+    assert faulhaber.bernoulli._antiderivatives == tuple(map(integrate_polynomial, integrated))
 
 
 def test_difference_identity_example():

@@ -222,12 +222,15 @@ def test_verify_locates_wrong_operation_count(capsys, monkeypatch):
 def test_verify_reports_failed_identities(capsys, monkeypatch):
     # Shift the linear coefficient of B_4 by one in the shared polynomials:
     # every identity family has checks that involve B_4 and see the change.
+    # The antiderivatives are emptied too, so they are integrated from the
+    # shifted B_4, and `undo` puts back both caches.
     bernoulli_polynomial(31)
     polynomials = list(faulhaber.bernoulli._polynomials)
     b4 = list(polynomials[4])
     b4[1] += 1
     polynomials[4] = tuple(b4)
     monkeypatch.setattr(faulhaber.bernoulli, "_polynomials", tuple(polynomials))
+    monkeypatch.setattr(faulhaber.bernoulli, "_antiderivatives", ())
     code, out, _ = run_cli(capsys, "verify", "3")
     assert code == 1
     assert "row equality: OK" in out
@@ -326,3 +329,14 @@ def test_soft_guard_warns_above_limit(capsys, monkeypatch):
         assert code == 0
         assert "warning" in err
         assert out.startswith(first_output)
+
+
+def test_check_warns_above_brute_force_limit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "BRUTE_FORCE_LIMIT", 10)
+    for argv, out_expected, err_expected in (
+        (("eval", "3", "11", "--check"), "4356\n",
+         "warning: n = 11 is above 10; this may take a very long time\n"),
+        (("eval", "3", "10", "--check"), "3025\n", ""),
+        (("eval", "3", "11"), "4356\n", ""),
+    ):
+        assert run_cli(capsys, *argv) == (0, out_expected, err_expected)
