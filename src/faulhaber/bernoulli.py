@@ -21,16 +21,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from ._record import FrozenRecord
-from .direct import CoefficientRow
-from .integration import (
+from .oracle import power_sum_bruteforce
+from .rationals import (
+    ONE,
+    ZERO,
+    CoefficientRow,
+    FrozenRecord,
     Polynomial,
     integrate_polynomial,
     poly_eval,
-    polynomial,
 )
-from .oracle import power_sum_bruteforce
-from .rationals import ONE, ZERO
 
 __all__ = [
     "BernoulliTable",
@@ -135,11 +135,10 @@ def bernoulli_polynomial(i: int) -> Polynomial:
         raise ValueError(f"polynomial index must be >= 0, got {i}")
     if len(_polynomials) <= i:
         minus = bernoulli_numbers(i).values_minus
+        # Every term is a Fraction and the top one is C(j, 0) * b_0 = 1, so
+        # there is no trailing zero to trim.
         _polynomials += tuple(
-            polynomial(
-                comb(j, j - power) * minus[j - power]
-                for power in range(j + 1)
-            )
+            tuple(comb(j, j - power) * minus[j - power] for power in range(j + 1))
             for j in range(len(_polynomials), i + 1)
         )
     return _polynomials[i]
@@ -169,9 +168,9 @@ def check_power_sum_identity(p: int, n: int) -> bool:
     """
     if p < 1:
         raise ValueError(f"power-sum identity needs p >= 1, got {p}")
-    left = Fraction(power_sum_bruteforce(p - 1, n))
+    left = power_sum_bruteforce(p - 1, n)
     b_poly = bernoulli_polynomial(p)
-    right = (poly_eval(b_poly, Fraction(n + 1)) - poly_eval(b_poly, ONE)) / p
+    right = (poly_eval(b_poly, n + 1) - poly_eval(b_poly, 1)) / p
     return left == right
 
 
@@ -195,5 +194,5 @@ def check_difference_identity(i: int, n: int) -> bool:
     if i <= 1:
         raise ValueError(f"difference identity needs i > 1, got {i}")
     b_poly = bernoulli_polynomial(i)
-    left = poly_eval(b_poly, Fraction(n + 1)) - poly_eval(b_poly, Fraction(n))
-    return left == i * Fraction(n) ** (i - 1)
+    left = poly_eval(b_poly, n + 1) - poly_eval(b_poly, n)
+    return left == i * n ** (i - 1)

@@ -22,7 +22,6 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 
-from ._record import FrozenRecord, Record
 from .bernoulli import (
     bernoulli_numbers,
     check_difference_identity,
@@ -30,10 +29,10 @@ from .bernoulli import (
     check_power_sum_identity,
     faulhaber_via_bernoulli,
 )
-from .direct import CoefficientRow, direct_coefficients
+from .direct import direct_coefficients
 from .integration import integration_coefficients
 from .oracle import evaluate_row, power_sum_bruteforce
-from .rationals import OpCounter
+from .rationals import CoefficientRow, FrozenRecord, OpCounter, Record
 
 __all__ = [
     "METHODS",
@@ -309,7 +308,7 @@ def bench_schedule(p_max: int) -> list[int]:
 # Argument parsing and handlers
 
 
-def _clip(text: str) -> str:  # an echoed argument may be megabytes long
+def _clip(text: str) -> str:  # an echoed value may be megabytes long
     return text if len(text) <= 40 else text[:40] + "..."
 
 
@@ -334,7 +333,7 @@ def _positive(text: str) -> int:
 def _warn_if_huge(name: str, value: int, limit: int) -> None:
     if value > limit:
         print(
-            f"warning: {name} = {value} is above {limit}; "
+            f"warning: {name} = {_clip(str(value))} is above {limit}; "
             "this may take a very long time",
             file=sys.stderr,
         )

@@ -15,47 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import FrozenRecord
-from .rationals import ONE, ZERO, OpCounter, rat_add, rat_mul, rat_sub
+from .rationals import ONE, ZERO, CoefficientRow, OpCounter, rat_add, rat_mul, rat_sub
 
-__all__ = ["CoefficientRow", "direct_coefficients"]
-
-
-class CoefficientRow(FrozenRecord):
-    """Coefficients a_1..a_{p+1} of the polynomial equal to 1^p + ... + n^p.
-
-    `coefficients[j - 1]` holds the coefficient of n^j, ascending by power.
-    The constant term of a power-sum polynomial is always zero and is not
-    stored; emitters that need it synthesize a literal zero.
-
-    Rows produced by any of the computation paths satisfy: the entries sum
-    to 1, the top entry is 1/(p+1), the entry of n^p is 1/2 for p >= 1, and
-    the entry of n^(p-2) is 0 for p >= 3.  Those are theorems checked by
-    the test suite, not constructor requirements, so that deliberately
-    corrupted rows can be built when exercising mismatch detection.
-    """
-
-    __slots__ = ("degree", "coefficients")
-    degree: int
-    coefficients: tuple[Fraction, ...]
-
-    def __init__(self, degree: int, coefficients: tuple[Fraction, ...]) -> None:
-        if degree < 0:
-            raise ValueError(f"degree must be >= 0, got {degree}")
-        if len(coefficients) != degree + 1:
-            raise ValueError(
-                f"a row of degree {degree} holds {degree + 1} "
-                f"coefficients, got {len(coefficients)}"
-            )
-        super().__init__(degree, coefficients)
-
-    def coefficient(self, power: int) -> Fraction:
-        """The coefficient of n**power, for 1 <= power <= degree + 1."""
-        if not 1 <= power <= self.degree + 1:
-            raise IndexError(
-                f"power {power} outside 1..{self.degree + 1} for degree {self.degree}"
-            )
-        return self.coefficients[power - 1]
+__all__ = ["direct_coefficients"]
 
 
 def _advance(row: list[Fraction], i: int, counter: OpCounter | None) -> None:

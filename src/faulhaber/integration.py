@@ -12,67 +12,21 @@ is the antiderivative evaluated at 1.  Term by term this is the direct
 recurrence (the coefficient of n^(k+1) is p * c_k / (k+1), the linear one
 1 minus the rest), computed by separate code in another order.
 
-Polynomials here are dense tuples of rationals, ascending by power, with
-trailing zeros trimmed; the zero polynomial is the empty tuple.  This
+The polynomials and their antiderivatives are those of `rationals`.  This
 module does not participate in the operation-count cost model, which
 applies to the direct algorithm only.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
 from fractions import Fraction
-from math import lcm
 
-from .direct import CoefficientRow
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, CoefficientRow, Polynomial, integrate_polynomial
 
 __all__ = [
-    "Polynomial",
-    "polynomial",
-    "poly_eval",
-    "integrate_polynomial",
     "integration_step",
     "integration_coefficients",
     "power_sum_polynomial_to_row",
 ]
-
-Polynomial = tuple[Fraction, ...]
-
-
-def polynomial(coeffs: Iterable[Fraction | int]) -> Polynomial:
-    """Normalize a coefficient sequence: exact rationals, trailing zeros cut."""
-    values = [Fraction(c) for c in coeffs]
-    while values and values[-1] == 0:
-        values.pop()
-    return tuple(values)
-
-
-def poly_eval(f: Polynomial, x: Fraction | int) -> Fraction:
-    """Exact value of f at x, by Horner's scheme on integers.
-
-    With d the common denominator of the coefficients c_k, x = u/v and
-    n = deg f, the value is sum_k d c_k u^k v^(n-k) / (d v^n).  Horner runs
-    on that numerator with a running power of v, so the only Fraction is
-    the one built at the end.
-    """
-    if not f:
-        return ZERO
-    d = lcm(*(c.denominator for c in f))
-    u, v = x.numerator, x.denominator
-    acc = 0
-    power = 1  # v ** (number of coefficients folded in so far)
-    for c in reversed(f):
-        acc = acc * u + c.numerator * (d // c.denominator) * power
-        power *= v
-    return Fraction(acc, d * (power // v))
-
-
-def integrate_polynomial(f: Polynomial) -> Polynomial:
-    """Antiderivative with zero constant term: c_k t^k maps to c_k/(k+1) t^(k+1)."""
-    if not f:
-        return ()
-    return (ZERO,) + tuple(Fraction(c, k + 1) for k, c in enumerate(f))
-
 
 def integration_step(f_prev: Polynomial, p: int) -> Polynomial:
     """One recurrence step: the power-sum polynomial of degree p + 1 from

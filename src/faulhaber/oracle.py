@@ -2,15 +2,14 @@
 and exact evaluation of a coefficient row.
 
 Every equivalence test in the package bottoms out here — no closed forms,
-no shortcuts.  A row is evaluated through `integration.poly_eval`, the
+no shortcuts.  A row is evaluated through `rationals.poly_eval`, the
 integer Horner scheme the Bernoulli identity checks use too.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .direct import CoefficientRow
-from .integration import poly_eval
+from .rationals import CoefficientRow, poly_eval
 
 __all__ = ["power_sum_bruteforce", "evaluate_row"]
 

@@ -340,3 +340,9 @@ def test_check_warns_above_brute_force_limit(capsys, monkeypatch):
         (("eval", "3", "11"), "4356\n", ""),
     ):
         assert run_cli(capsys, *argv) == (0, out_expected, err_expected)
+
+
+def test_warning_echoes_a_huge_value_in_short(capsys):
+    cli._warn_if_huge("n", 10**100, 10)
+    assert capsys.readouterr() == (
+        "", "warning: n = 1" + "0" * 39 + "... is above 10; this may take a very long time\n")
