@@ -14,7 +14,11 @@ two is the classic off-by-sign bug this module is shaped to prevent.
 
 The three check_* functions evaluate, in exact arithmetic, the textbook
 identities tying power sums to Bernoulli polynomials; the verification
-command runs them over fixed ranges.
+command runs them over fixed ranges.  They compare integers only: each
+polynomial is scaled to its common denominator once per process, `horner`
+gives its value as an integer over a positive denominator (d itself at an
+integer point), and each identity is cross-multiplied by its denominators,
+so no check builds a Fraction.
 """
 from __future__ import annotations
 
@@ -28,8 +32,9 @@ from .rationals import (
     CoefficientRow,
     FrozenRecord,
     Polynomial,
+    horner,
     integrate_polynomial,
-    poly_eval,
+    scaled,
 )
 
 __all__ = [
@@ -65,24 +70,30 @@ class BernoulliTable(FrozenRecord):
 
 
 # Minus-convention numbers b_0..b_k computed so far, shared by every table.
-# Requests beyond it replace it whole by a longer copy; entries never change.
+# Requests beyond it replace it whole by a longer copy, at least twice as
+# long, so that an ascending sweep rebuilds it a logarithmic number of
+# times; entries never change.
 _minus_prefix: tuple[Fraction, ...] = (ONE,)
 
 
 def bernoulli_numbers(m: int) -> BernoulliTable:
     """Bernoulli numbers through index m, both conventions.
 
-    The even-index numbers come from the tangent numbers T_1..T_h, h = m // 2
+    The even-index numbers come from the tangent numbers T_1..T_h
     (Brent and Harvey, arXiv:1108.0286), built in place with int arithmetic
     only:  B_2k = (-1)^(k-1) * 2k * T_k / (4^k (4^k - 1)).  b_1 = -1/2 in the
     minus convention, +1/2 in the plus one, and odd indices >= 3 are zero.
-    A request within the numbers computed so far reuses them.
+
+    A request within the numbers computed so far reuses them.  One beyond
+    them takes h = m // 2, or one less than the count of numbers so far if
+    that is larger, and keeps all 2h + 2 numbers: from b_0 alone it builds
+    just what index m needs, and each rebuild at least doubles the count.
     """
     global _minus_prefix
     if m < 0:
         raise ValueError(f"need a table limit >= 0, got {m}")
     if len(_minus_prefix) <= m:
-        h = m // 2
+        h = max(m // 2, len(_minus_prefix) - 1)
         tangent = [0, 1] + [0] * (h - 1)
         for k in range(2, h + 1):
             tangent[k] = (k - 1) * tangent[k - 1]
@@ -94,7 +105,7 @@ def bernoulli_numbers(m: int) -> BernoulliTable:
             power = 4**k
             value = Fraction(2 * k * tangent[k], power * (power - 1))
             extended += (value if k % 2 else -value, ZERO)
-        _minus_prefix = tuple(extended[: m + 1])
+        _minus_prefix = tuple(extended)
     minus = _minus_prefix[: m + 1]
     plus = list(minus)
     if m >= 1:
@@ -159,40 +170,66 @@ def _antiderivative(i: int) -> Polynomial:
     return _antiderivatives[i]
 
 
+# The scaled form (numerators, d) of every polynomial the checks evaluate,
+# made once per polynomial.  Keyed by the identity of the polynomial that
+# `bernoulli_polynomial` or `_antiderivative` returned, and holding it so
+# the identity is not reused: a cache entry replaced by another polynomial
+# gets a scaled form of its own.  (Hashing by value would hash every
+# Fraction coefficient on each lookup.)
+_scaled_forms: dict[int, tuple[Polynomial, tuple[tuple[int, ...], int]]] = {}
+
+
+def _scaled_form(f: Polynomial) -> tuple[tuple[int, ...], int]:
+    entry = _scaled_forms.get(id(f))
+    if entry is None:
+        entry = _scaled_forms[id(f)] = (f, scaled(f))
+    return entry[1]
+
+
 def check_power_sum_identity(p: int, n: int) -> bool:
     """Does f_{p-1}(n) equal (B_p(n+1) - B_p(1)) / p?  Exact, brute-force left side.
 
     The subtracted constant is B_p at 1, the plus-convention Bernoulli
     number; it equals B_p(0) for every p >= 2 and keeps the identity exact
-    at p = 1 as well.
+    at p = 1 as well.  With B_p = H/d, the test is
+    H(n+1) - H(1) == p * d * f_{p-1}(n).
     """
     if p < 1:
         raise ValueError(f"power-sum identity needs p >= 1, got {p}")
     left = power_sum_bruteforce(p - 1, n)
-    b_poly = bernoulli_polynomial(p)
-    right = (poly_eval(b_poly, n + 1) - poly_eval(b_poly, 1)) / p
-    return left == right
+    numerators, d = _scaled_form(bernoulli_polynomial(p))
+    high, _ = horner(numerators, d, n + 1)
+    low, _ = horner(numerators, d, 1)
+    return high - low == p * d * left
 
 
 def check_integral_identity(i: int, a: Fraction, b: Fraction) -> bool:
     """Does the integral of B_i over [a, b] equal (B_{i+1}(b) - B_{i+1}(a))/(i+1)?
 
     The left side is integrated symbolically, once per B_i, and evaluated
-    at the endpoints; both sides are exact rationals.
+    at the endpoints; both sides are exact.  With F = P/Q the antiderivative
+    and B_{i+1} = R/S at each endpoint, the test is
+    (i+1) (P(b) Q(a) - P(a) Q(b)) S(a) S(b) == (R(b) S(a) - R(a) S(b)) Q(a) Q(b).
     """
     if i < 0:
         raise ValueError(f"polynomial index must be >= 0, got {i}")
-    antiderivative = _antiderivative(i)
-    left = poly_eval(antiderivative, b) - poly_eval(antiderivative, a)
-    successor = bernoulli_polynomial(i + 1)
-    right = (poly_eval(successor, b) - poly_eval(successor, a)) / (i + 1)
-    return left == right
+    antiderivative = _scaled_form(_antiderivative(i))
+    successor = _scaled_form(bernoulli_polynomial(i + 1))
+    pa, qa = horner(*antiderivative, a)
+    pb, qb = horner(*antiderivative, b)
+    ra, sa = horner(*successor, a)
+    rb, sb = horner(*successor, b)
+    return (i + 1) * (pb * qa - pa * qb) * sa * sb == (rb * sa - ra * sb) * qa * qb
 
 
 def check_difference_identity(i: int, n: int) -> bool:
-    """Does B_i(n+1) - B_i(n) equal i * n^(i-1)?  Defined for i > 1 only."""
+    """Does B_i(n+1) - B_i(n) equal i * n^(i-1)?  Defined for i > 1 only.
+
+    With B_i = H/d, the test is H(n+1) - H(n) == i * d * n^(i-1).
+    """
     if i <= 1:
         raise ValueError(f"difference identity needs i > 1, got {i}")
-    b_poly = bernoulli_polynomial(i)
-    left = poly_eval(b_poly, n + 1) - poly_eval(b_poly, n)
-    return left == i * n ** (i - 1)
+    numerators, d = _scaled_form(bernoulli_polynomial(i))
+    high, _ = horner(numerators, d, n + 1)
+    low, _ = horner(numerators, d, n)
+    return high - low == i * d * n ** (i - 1)

@@ -259,20 +259,20 @@ def run_verification(
     quadratic formulas, and run the identity checks over their default
     ranges.
 
-    Both degree passes ascend, so each built-in path continues from the
-    degree before instead of starting over.  The first is the counted pass
-    of `bench`; the second compares the rows of every path pair.
+    One ascending pass over the degrees: at each p the counted pass of
+    `bench` builds the direct row, and the rows of every path are compared.
+    Each built-in path continues from the degree before instead of starting
+    over, and the uncounted direct request reuses the counted row.
     """
     if p_max < 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
     if methods is None:
         methods = dict(METHODS)
 
-    degrees = range(p_max + 1)
-    op_count_ok = [ok for *_, ok in _counted_pass(degrees)]
-
+    op_count_ok = []
     mismatches = []
-    for p in degrees:
+    for p, *_, ok in _counted_pass(range(p_max + 1)):
+        op_count_ok.append(ok)
         rows = {name: fn(p) for name, fn in methods.items()}
         for name_a, name_b in itertools.combinations(rows, 2):
             power = _first_difference(rows[name_a], rows[name_b])

@@ -53,13 +53,16 @@ def direct_coefficients(p: int, counter: OpCounter | None = None) -> Coefficient
 
     A request with the same counter (or again none) as the previous call, for
     the same degree or a higher one, continues from the previous row instead
-    of from [1]; the counter then holds the totals for degree p.  Any other
-    request starts over.
+    of from [1]; the counter then holds the totals for degree p.  A request
+    without a counter for the previous row's degree returns that row, counted
+    or not, and keeps it as it was.  Any other request starts over.
     """
     global _last
     if p < 0:
         raise ValueError(f"exponent must be >= 0, got {p}")
     last_counter, last = _last
+    if counter is None and last.degree == p:
+        return last
     if last_counter is not counter or last.degree > p:
         last = CoefficientRow(0, (ONE,))
     row = list(last.coefficients)

@@ -179,24 +179,38 @@ def polynomial(coeffs: Iterable[Fraction | int]) -> Polynomial:
     return tuple(values)
 
 
-def poly_eval(f: Polynomial, x: Fraction | int) -> Fraction:
-    """Exact value of f at x, by Horner's scheme on integers.
-
-    With d the common denominator of the coefficients c_k, x = u/v and
-    n = deg f, the value is sum_k d c_k u^k v^(n-k) / (d v^n).  Horner runs
-    on that numerator with a running power of v, so the only Fraction is
-    the one built at the end.
-    """
-    if not f:
-        return ZERO
+def scaled(f: Polynomial) -> tuple[tuple[int, ...], int]:
+    """f over its common denominator: (numerators, d) with d the least
+    common multiple of the coefficient denominators and numerators[k] the
+    integer d * c_k, so f(t) = sum_k numerators[k] t^k / d."""
     d = lcm(*(c.denominator for c in f))
+    return tuple(c.numerator * (d // c.denominator) for c in f), d
+
+
+def horner(numerators: tuple[int, ...], d: int, x: Fraction | int) -> tuple[int, int]:
+    """The value at x of the scaled polynomial (numerators, d), by Horner's
+    scheme on integers, as an unreduced pair (numerator, denominator).
+
+    With x = u/v and n + 1 = len(numerators) the value is
+    sum_k numerators[k] u^k v^(n-k) / (d v^n).  Horner runs on that
+    numerator with a running power of v; the denominator d v^n is positive,
+    and equals d at an integer x.
+    """
+    if not numerators:
+        return 0, d
     u, v = x.numerator, x.denominator
     acc = 0
     power = 1  # v ** (number of coefficients folded in so far)
-    for c in reversed(f):
-        acc = acc * u + c.numerator * (d // c.denominator) * power
+    for c in reversed(numerators):
+        acc = acc * u + c * power
         power *= v
-    return Fraction(acc, d * (power // v))
+    return acc, d * (power // v)
+
+
+def poly_eval(f: Polynomial, x: Fraction | int) -> Fraction:
+    """Exact value of f at x: f scaled to its common denominator, then the
+    integer `horner`, so the only Fraction is the one built at the end."""
+    return Fraction(*horner(*scaled(f), x))
 
 
 def integrate_polynomial(f: Polynomial) -> Polynomial:

@@ -1,5 +1,6 @@
 """Bernoulli path: number tables against independent oracles, both sign
 conventions, the closed formula, and the polynomial identities."""
+import itertools
 from fractions import Fraction
 from math import comb, isqrt, prod
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import faulhaber.bernoulli
+from faulhaber import cli
 from faulhaber import (
     bernoulli_numbers,
     bernoulli_polynomial,
@@ -72,6 +74,24 @@ def test_tables_do_not_depend_on_request_order(limits):
     faulhaber.bernoulli._minus_prefix = (F(1),)
     for m in limits:
         assert list(bernoulli_numbers(m).values_plus) == AKIYAMA_TANIGAWA_300[: m + 1]
+
+
+def test_ascending_requests_rebuild_the_numbers_logarithmically(monkeypatch):
+    # From b_0 alone, a one-shot request builds just the tangent numbers its
+    # index needs, T_1..T_{m//2}: 2 * (m // 2) + 2 numbers.
+    for m in (1, 2, 7, 40):
+        monkeypatch.setattr(faulhaber.bernoulli, "_minus_prefix", (F(1),))
+        bernoulli_numbers(m)
+        assert len(faulhaber.bernoulli._minus_prefix) == 2 * (m // 2) + 2
+    # An ascending sweep replaces the shared numbers only a few times.  The
+    # list holds every prefix seen, so no identity is reused.
+    monkeypatch.setattr(faulhaber.bernoulli, "_minus_prefix", (F(1),))
+    prefixes = [faulhaber.bernoulli._minus_prefix]
+    for m in range(121):
+        assert list(bernoulli_numbers(m).values_plus) == AKIYAMA_TANIGAWA_300[: m + 1]
+        if faulhaber.bernoulli._minus_prefix is not prefixes[-1]:
+            prefixes.append(faulhaber.bernoulli._minus_prefix)
+    assert len(prefixes) <= 8
 
 
 def test_denominators_follow_von_staudt_clausen():
@@ -180,3 +200,57 @@ def test_difference_identity_small_range(i):
 def test_difference_identity_rejects_low_index(i):
     with pytest.raises(ValueError):
         check_difference_identity(i, 4)
+
+
+def fraction_value(f, x):
+    """f(x) by Horner's scheme on Fractions, independent of `poly_eval`."""
+    value = F(0)
+    for c in reversed(f):
+        value = value * x + c
+    return value
+
+
+def power_sum_by_fractions(p, n):
+    b_poly = bernoulli_polynomial(p)
+    right = (fraction_value(b_poly, n + 1) - fraction_value(b_poly, 1)) / p
+    return power_sum_bruteforce(p - 1, n) == right
+
+
+def integral_by_fractions(i, a, b):
+    antiderivative = integrate_polynomial(bernoulli_polynomial(i))
+    successor = bernoulli_polynomial(i + 1)
+    left = fraction_value(antiderivative, b) - fraction_value(antiderivative, a)
+    return left == (fraction_value(successor, b) - fraction_value(successor, a)) / (i + 1)
+
+
+def difference_by_fractions(i, n):
+    b_poly = bernoulli_polynomial(i)
+    return fraction_value(b_poly, n + 1) - fraction_value(b_poly, n) == i * n ** (i - 1)
+
+
+IDENTITY_FAMILIES = [
+    (check_power_sum_identity, power_sum_by_fractions, cli.POWER_SUM_IDENTITY_RANGE),
+    (check_integral_identity, integral_by_fractions, cli.INTEGRAL_IDENTITY_RANGE),
+    (check_difference_identity, difference_by_fractions, cli.DIFFERENCE_IDENTITY_RANGE),
+]
+
+
+@pytest.mark.parametrize("shift_b4", [False, True])
+@pytest.mark.parametrize(
+    "check, reference, ranges", IDENTITY_FAMILIES, ids=["power-sum", "integral", "difference"])
+def test_integer_checks_agree_with_fraction_arithmetic(
+        monkeypatch, shift_b4, check, reference, ranges):
+    # Over the whole default range of `verify`, the integer cross-multiplied
+    # checks give the same verdicts as the identities written in Fractions,
+    # for the true polynomials and with the linear coefficient of B_4 shifted
+    # in the shared cache (the antiderivatives are then integrated afresh).
+    if shift_b4:
+        bernoulli_polynomial(31)
+        polynomials = list(faulhaber.bernoulli._polynomials)
+        polynomials[4] = (polynomials[4][0], polynomials[4][1] + 1, *polynomials[4][2:])
+        monkeypatch.setattr(faulhaber.bernoulli, "_polynomials", tuple(polynomials))
+        monkeypatch.setattr(faulhaber.bernoulli, "_antiderivatives", ())
+    points = list(itertools.product(*ranges))
+    verdicts = [check(*args) for args in points]
+    assert verdicts == [reference(*args) for args in points]
+    assert all(verdicts) is not shift_b4

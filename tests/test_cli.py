@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import faulhaber.bernoulli
+import faulhaber.direct
 from faulhaber import CoefficientRow, bernoulli_polynomial
 from faulhaber import cli
 
@@ -249,6 +250,22 @@ def test_verify_reports_failed_identities(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "3")
     assert code == 0
     assert out.endswith("result: PASS\n")
+
+
+def test_verify_builds_each_direct_row_once(monkeypatch):
+    # The counted pass builds rows 1..40, one `_advance` each; the uncounted
+    # direct row of each comparison is the row the counted pass kept.
+    advances = []
+    genuine = faulhaber.direct._advance
+
+    def counted(row, i, counter):
+        advances.append(i)
+        genuine(row, i, counter)
+
+    monkeypatch.setattr(faulhaber.direct, "_advance", counted)
+    report = cli.run_verification(40)
+    assert report.passed
+    assert advances == list(range(1, 41))
 
 
 def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):
