@@ -16,9 +16,9 @@ The three check_* functions evaluate, in exact arithmetic, the textbook
 identities tying power sums to Bernoulli polynomials; the verification
 command runs them over fixed ranges.  They compare integers only: each
 polynomial is scaled to its common denominator once per process, `horner`
-gives its value as an integer over a positive denominator (d itself at an
-integer point), and each identity is cross-multiplied by its denominators,
-so no check builds a Fraction.
+gives its value at each point once per process, as an integer over a
+positive denominator (d itself at an integer point), and each identity is
+cross-multiplied by its denominators, so no check builds a Fraction.
 """
 from __future__ import annotations
 
@@ -122,10 +122,12 @@ def faulhaber_via_bernoulli(p: int) -> CoefficientRow:
     if p < 0:
         raise ValueError(f"exponent must be >= 0, got {p}")
     plus = bernoulli_numbers(p).values_plus
+    # The odd i >= 3, where b_i = 0, keep their ZERO.  Every other entry is
+    # one Fraction built from integers, reduced by a single gcd.
     coeffs: list[Fraction] = [ZERO] * (p + 1)
-    for i in range(p + 1):
-        power = p + 1 - i
-        coeffs[power - 1] = comb(p + 1, i) * plus[i] / (p + 1)
+    for i, b in enumerate(plus):
+        if b:
+            coeffs[p - i] = Fraction(comb(p + 1, i) * b.numerator, b.denominator * (p + 1))
     return CoefficientRow(p, tuple(coeffs))
 
 
@@ -171,19 +173,32 @@ def _antiderivative(i: int) -> Polynomial:
 
 
 # The scaled form (numerators, d) of every polynomial the checks evaluate,
-# made once per polynomial.  Keyed by the identity of the polynomial that
-# `bernoulli_polynomial` or `_antiderivative` returned, and holding it so
-# the identity is not reused: a cache entry replaced by another polynomial
-# gets a scaled form of its own.  (Hashing by value would hash every
-# Fraction coefficient on each lookup.)
-_scaled_forms: dict[int, tuple[Polynomial, tuple[tuple[int, ...], int]]] = {}
+# made once per polynomial, and its values so far, each computed once per
+# point.  Keyed by the identity of the polynomial that `bernoulli_polynomial`
+# or `_antiderivative` returned, and holding it so the identity is not
+# reused: a cache entry replaced by another polynomial gets a scaled form
+# and values of its own.  The values are keyed by the point's (numerator,
+# denominator), so an integer point and the equal Fraction endpoint share
+# one value; they grow with the distinct points asked for, 880 over the
+# ranges `verify` checks.  (Hashing by value would call the Python-level
+# hash of every Fraction, coefficient or endpoint, on each lookup.)
+_scaled_forms: dict[
+    int, tuple[Polynomial, tuple[tuple[int, ...], int], dict[tuple[int, int], tuple[int, int]]]
+] = {}
 
 
-def _scaled_form(f: Polynomial) -> tuple[tuple[int, ...], int]:
+def _value(f: Polynomial, x: Fraction | int) -> tuple[int, int]:
+    """f(x) as `horner` gives it for the scaled form of f: an integer over a
+    positive denominator, the common denominator d of f at an integer x."""
     entry = _scaled_forms.get(id(f))
     if entry is None:
-        entry = _scaled_forms[id(f)] = (f, scaled(f))
-    return entry[1]
+        entry = _scaled_forms[id(f)] = (f, scaled(f), {})
+    _, form, values = entry
+    point = x.numerator, x.denominator
+    value = values.get(point)
+    if value is None:
+        value = values[point] = horner(*form, x)
+    return value
 
 
 def check_power_sum_identity(p: int, n: int) -> bool:
@@ -197,9 +212,9 @@ def check_power_sum_identity(p: int, n: int) -> bool:
     if p < 1:
         raise ValueError(f"power-sum identity needs p >= 1, got {p}")
     left = power_sum_bruteforce(p - 1, n)
-    numerators, d = _scaled_form(bernoulli_polynomial(p))
-    high, _ = horner(numerators, d, n + 1)
-    low, _ = horner(numerators, d, 1)
+    polynomial = bernoulli_polynomial(p)
+    high, d = _value(polynomial, n + 1)
+    low, _ = _value(polynomial, 1)
     return high - low == p * d * left
 
 
@@ -213,12 +228,12 @@ def check_integral_identity(i: int, a: Fraction, b: Fraction) -> bool:
     """
     if i < 0:
         raise ValueError(f"polynomial index must be >= 0, got {i}")
-    antiderivative = _scaled_form(_antiderivative(i))
-    successor = _scaled_form(bernoulli_polynomial(i + 1))
-    pa, qa = horner(*antiderivative, a)
-    pb, qb = horner(*antiderivative, b)
-    ra, sa = horner(*successor, a)
-    rb, sb = horner(*successor, b)
+    antiderivative = _antiderivative(i)
+    successor = bernoulli_polynomial(i + 1)
+    pa, qa = _value(antiderivative, a)
+    pb, qb = _value(antiderivative, b)
+    ra, sa = _value(successor, a)
+    rb, sb = _value(successor, b)
     return (i + 1) * (pb * qa - pa * qb) * sa * sb == (rb * sa - ra * sb) * qa * qb
 
 
@@ -229,7 +244,7 @@ def check_difference_identity(i: int, n: int) -> bool:
     """
     if i <= 1:
         raise ValueError(f"difference identity needs i > 1, got {i}")
-    numerators, d = _scaled_form(bernoulli_polynomial(i))
-    high, _ = horner(numerators, d, n + 1)
-    low, _ = horner(numerators, d, n)
+    polynomial = bernoulli_polynomial(i)
+    high, d = _value(polynomial, n + 1)
+    low, _ = _value(polynomial, n)
     return high - low == i * d * n ** (i - 1)

@@ -216,6 +216,8 @@ class VerifyReport(Record):
 
 def _first_difference(a: CoefficientRow, b: CoefficientRow) -> int | None:
     """1-based power of the first differing coefficient, or None if equal."""
+    if a.coefficients == b.coefficients:  # the usual case: no loop in Python
+        return None
     for j, (ca, cb) in enumerate(zip(a.coefficients, b.coefficients), start=1):
         if ca != cb:
             return j

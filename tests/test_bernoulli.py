@@ -114,6 +114,18 @@ def test_closed_formula_rows():
     assert faulhaber_via_bernoulli(300) == direct_coefficients(300)
 
 
+def test_closed_formula_rows_match_the_textbook_formula():
+    # The coefficient of n^(p+1-i) is C(p+1, i) * b_i / (p+1), here in
+    # Fraction arithmetic over the Akiyama-Tanigawa numbers.
+    for p in range(301):
+        textbook = [F(0)] * (p + 1)
+        for i in range(p + 1):
+            textbook[p - i] = comb(p + 1, i) * AKIYAMA_TANIGAWA_300[i] / (p + 1)
+        row = faulhaber_via_bernoulli(p).coefficients
+        assert [(c.numerator, c.denominator) for c in row] == [
+            (c.numerator, c.denominator) for c in textbook]
+
+
 def test_first_bernoulli_polynomials():
     assert bernoulli_polynomial(0) == polynomial([1])
     assert bernoulli_polynomial(1) == polynomial([F(-1, 2), 1])

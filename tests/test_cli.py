@@ -1,5 +1,6 @@
 """Command-line contract: output formats, exit statuses, cross-verification,
 and the benchmark table."""
+import itertools
 import json
 import os
 import subprocess
@@ -180,6 +181,19 @@ def test_bernoulli_default_reaches_minus_one_thirtieth(capsys):
     assert "4: -1/30" in out.splitlines()
 
 
+@pytest.mark.parametrize("a, b, power", [
+    ((1, 2, 3), (1, 2, 3), None),
+    ((1, 2, 3), (1, 2, 4), 3),  # only the top entry differs
+    ((1, 5, 3), (1, 2, 4), 2),  # the first difference is reported
+    ((1, 2, 3), (1, 2, 3, 4), 4),  # rows of different lengths
+    ((1, 2, 3, 4), (1, 2, 3), 4),
+    ((7,), (1, 2), 1),
+])
+def test_first_difference(a, b, power):
+    rows = [CoefficientRow(len(c) - 1, tuple(map(Fraction, c))) for c in (a, b)]
+    assert cli._first_difference(*rows) == power
+
+
 def test_verify_trivial_range_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "0")
     assert code == 0
@@ -250,6 +264,40 @@ def test_verify_reports_failed_identities(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "3")
     assert code == 0
     assert out.endswith("result: PASS\n")
+
+
+def test_identity_phase_evaluates_each_polynomial_once_per_point(monkeypatch):
+    # Every (polynomial, point) pair the three families need is evaluated by
+    # `horner` once per process, an integer point and the equal Fraction
+    # endpoint sharing one value; a second identity phase evaluates nothing.
+    evaluations = []
+    genuine = faulhaber.bernoulli.horner
+
+    def counted(numerators, d, x):
+        evaluations.append(x)
+        return genuine(numerators, d, x)
+
+    monkeypatch.setattr(faulhaber.bernoulli, "_scaled_forms", {})
+    monkeypatch.setattr(faulhaber.bernoulli, "horner", counted)
+    pairs = set()
+    for p, n in itertools.product(*cli.POWER_SUM_IDENTITY_RANGE):
+        pairs |= {("B", p, Fraction(n + 1)), ("B", p, Fraction(1))}
+    for i, a, b in itertools.product(*cli.INTEGRAL_IDENTITY_RANGE):
+        pairs |= {("antiderivative", i, a), ("antiderivative", i, b)}
+        pairs |= {("B", i + 1, a), ("B", i + 1, b)}
+    for i, n in itertools.product(*cli.DIFFERENCE_IDENTITY_RANGE):
+        pairs |= {("B", i, Fraction(n + 1)), ("B", i, Fraction(n))}
+    tallies = {
+        "power-sum identity": (600, 0),
+        "integral identity": (775, 0),
+        "difference identity": (609, 0),
+    }
+
+    assert cli._identity_tallies() == tallies
+    assert len(evaluations) == len(pairs)
+    evaluations.clear()
+    assert cli._identity_tallies() == tallies
+    assert evaluations == []
 
 
 def test_verify_builds_each_direct_row_once(monkeypatch):
