@@ -11,6 +11,8 @@ polynomials interpolate at 0, while the closed formula above needs the
 "plus" convention (b_1 = +1/2, which is B_1 evaluated at 1).  Both are
 stored side by side so no caller ever flips a sign ad hoc — conflating the
 two is the classic off-by-sign bug this module is shaped to prevent.
+Each `bernoulli_numbers` call builds its own table, and the closed formula
+reads the table its caller passes, so the rows keep no state.
 
 The three check_* functions evaluate, in exact arithmetic, the textbook
 identities tying power sums to Bernoulli polynomials; the verification
@@ -69,70 +71,60 @@ class BernoulliTable(FrozenRecord):
         super().__init__(limit, values_minus, values_plus)
 
 
-# Minus-convention numbers b_0..b_k computed so far, shared by every table.
-# Requests beyond it replace it whole by a longer copy, at least twice as
-# long, so that an ascending sweep rebuilds it a logarithmic number of
-# times; entries never change.
-_minus_prefix: tuple[Fraction, ...] = (ONE,)
-
-
 def bernoulli_numbers(m: int) -> BernoulliTable:
     """Bernoulli numbers through index m, both conventions.
 
-    The even-index numbers come from the tangent numbers T_1..T_h
+    The even-index numbers come from the tangent numbers T_1..T_h, h = m // 2
     (Brent and Harvey, arXiv:1108.0286), built in place with int arithmetic
     only:  B_2k = (-1)^(k-1) * 2k * T_k / (4^k (4^k - 1)).  b_1 = -1/2 in the
     minus convention, +1/2 in the plus one, and odd indices >= 3 are zero.
-
-    A request within the numbers computed so far reuses them.  One beyond
-    them takes h = m // 2, or one less than the count of numbers so far if
-    that is larger, and keeps all 2h + 2 numbers: from b_0 alone it builds
-    just what index m needs, and each rebuild at least doubles the count.
+    Each call builds its own table; a caller that needs rows of several
+    degrees builds one table for the highest and passes it on.
     """
-    global _minus_prefix
     if m < 0:
         raise ValueError(f"need a table limit >= 0, got {m}")
-    if len(_minus_prefix) <= m:
-        h = max(m // 2, len(_minus_prefix) - 1)
-        tangent = [0, 1] + [0] * (h - 1)
-        for k in range(2, h + 1):
-            tangent[k] = (k - 1) * tangent[k - 1]
-        for k in range(2, h + 1):
-            for j in range(k, h + 1):
-                tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
-        extended = [ONE, Fraction(-1, 2)]
-        for k in range(1, h + 1):
-            power = 4**k
-            value = Fraction(2 * k * tangent[k], power * (power - 1))
-            extended += (value if k % 2 else -value, ZERO)
-        _minus_prefix = tuple(extended)
-    minus = _minus_prefix[: m + 1]
+    h = m // 2
+    tangent = [0, 1] + [0] * (h - 1)
+    for k in range(2, h + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, h + 1):
+        for j in range(k, h + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    minus = [ONE, Fraction(-1, 2)]
+    for k in range(1, h + 1):
+        power = 4**k
+        value = Fraction(2 * k * tangent[k], power * (power - 1))
+        minus += (value if k % 2 else -value, ZERO)
+    del minus[m + 1:]
     plus = list(minus)
     if m >= 1:
         plus[1] = Fraction(1, 2)
-    return BernoulliTable(m, minus, tuple(plus))
+    return BernoulliTable(m, tuple(minus), tuple(plus))
 
 
-def faulhaber_via_bernoulli(p: int) -> CoefficientRow:
+def faulhaber_via_bernoulli(p: int, table: BernoulliTable | None = None) -> CoefficientRow:
     """Coefficient row for exponent p from the closed Bernoulli-number formula.
 
     The coefficient of n^(p+1-i) is C(p+1, i) * b_i / (p+1) with b in the
-    plus convention, for i = 0..p.
+    plus convention, for i = 0..p.  The numbers come from `table`, whose
+    limit must be at least p, or from a table built for p.
     """
     if p < 0:
         raise ValueError(f"exponent must be >= 0, got {p}")
-    plus = bernoulli_numbers(p).values_plus
+    table = table or bernoulli_numbers(p)
+    if table.limit < p:
+        raise ValueError(f"a table through b_{table.limit} cannot give the row of degree {p}")
     # The odd i >= 3, where b_i = 0, keep their ZERO.  Every other entry is
     # one Fraction built from integers, reduced by a single gcd.
     coeffs: list[Fraction] = [ZERO] * (p + 1)
-    for i, b in enumerate(plus):
+    for i, b in enumerate(table.values_plus[: p + 1]):
         if b:
             coeffs[p - i] = Fraction(comb(p + 1, i) * b.numerator, b.denominator * (p + 1))
     return CoefficientRow(p, tuple(coeffs))
 
 
-# Bernoulli polynomials B_0..B_k built so far, kept like _minus_prefix:
-# replaced whole by a longer copy, entries never change.
+# Bernoulli polynomials B_0..B_k built so far: replaced whole by a longer
+# copy, entries never change.
 _polynomials: tuple[Polynomial, ...] = ()
 
 
@@ -148,10 +140,11 @@ def bernoulli_polynomial(i: int) -> Polynomial:
         raise ValueError(f"polynomial index must be >= 0, got {i}")
     if len(_polynomials) <= i:
         minus = bernoulli_numbers(i).values_minus
-        # Every term is a Fraction and the top one is C(j, 0) * b_0 = 1, so
-        # there is no trailing zero to trim.
+        # Each term is one Fraction built from integers, and the top one is
+        # C(j, 0) * b_0 = 1, so there is no trailing zero to trim.
         _polynomials += tuple(
-            tuple(comb(j, j - power) * minus[j - power] for power in range(j + 1))
+            tuple(Fraction(comb(j, k) * minus[k].numerator, minus[k].denominator)
+                  for k in range(j, -1, -1))
             for j in range(len(_polynomials), i + 1)
         )
     return _polynomials[i]

@@ -46,8 +46,8 @@ __all__ = [
     "main",
 ]
 
-# Coefficient paths selectable with --method.  verify compares every pair;
-# tests inject faults by swapping an entry.
+# Coefficient paths selectable with --method, in the order verify compares
+# them.
 METHODS: dict[str, Callable[[int], CoefficientRow]] = {
     "direct": direct_coefficients,
     "lemma": integration_coefficients,
@@ -242,40 +242,43 @@ def _identity_tallies() -> dict[str, tuple[int, int]]:
     }
 
 
-def _counted_pass(degrees: Iterable[int]) -> Iterator[tuple[int, int, int, bool]]:
-    """Direct rows for the ascending `degrees` on one running counter: after
-    each p, yield p, the additions and multiplications so far (those of
-    building row p from scratch) and whether they match the formulas."""
+def _counted_pass(
+    degrees: Iterable[int],
+) -> Iterator[tuple[int, CoefficientRow, int, int, bool]]:
+    """Direct rows for the ascending `degrees` on one running counter, each
+    continued from the row before: after each p, yield p, its row, the
+    additions and multiplications so far (those of building row p from
+    scratch) and whether they match the formulas."""
     counter = OpCounter()
+    row = None
     for p in degrees:
-        direct_coefficients(p, counter)
+        row = direct_coefficients(p, counter, row)
         counts = counter.additions, counter.multiplications
-        yield p, *counts, counts == (predicted_additions(p), predicted_multiplications(p))
+        yield p, row, *counts, counts == (predicted_additions(p), predicted_multiplications(p))
 
 
-def run_verification(
-    p_max: int,
-    methods: dict[str, Callable[[int], CoefficientRow]] | None = None,
-) -> VerifyReport:
+def run_verification(p_max: int) -> VerifyReport:
     """Compare every path pair for p = 0..p_max, check op counts against the
     quadratic formulas, and run the identity checks over their default
     ranges.
 
-    One ascending pass over the degrees: at each p the counted pass of
-    `bench` builds the direct row, and the rows of every path are compared.
-    Each built-in path continues from the degree before instead of starting
-    over, and the uncounted direct request reuses the counted row.
+    One ascending pass over the degrees.  At each p the counted pass of
+    `bench` builds the direct row, the lemma row continues from the one
+    before, and the Bernoulli row reads one table built for p_max; the three
+    rows are then compared pairwise.
     """
     if p_max < 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
-    if methods is None:
-        methods = dict(METHODS)
-
+    # The paths are looked up at call time: tests and the tracer swap these
+    # module globals.
+    table = bernoulli_numbers(p_max)
+    lemma = None
     op_count_ok = []
     mismatches = []
-    for p, *_, ok in _counted_pass(range(p_max + 1)):
+    for p, direct, *_, ok in _counted_pass(range(p_max + 1)):
         op_count_ok.append(ok)
-        rows = {name: fn(p) for name, fn in methods.items()}
+        lemma = integration_coefficients(p, lemma)
+        rows = {"direct": direct, "lemma": lemma, "bernoulli": faulhaber_via_bernoulli(p, table)}
         for name_a, name_b in itertools.combinations(rows, 2):
             power = _first_difference(rows[name_a], rows[name_b])
             if power is not None:
@@ -283,7 +286,7 @@ def run_verification(
 
     return VerifyReport(
         p_max=p_max,
-        paths_compared=tuple(methods),
+        paths_compared=tuple(METHODS),
         mismatches=tuple(mismatches),
         op_count_ok=tuple(op_count_ok),
         identity_tallies=_identity_tallies(),
@@ -387,7 +390,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # `seconds` is the time from the start of the pass to degree p, that is
     # of building row p from scratch.
     start = time.perf_counter()
-    for p, additions, multiplications, ok in _counted_pass(bench_schedule(args.p_max)):
+    for p, _, additions, multiplications, ok in _counted_pass(bench_schedule(args.p_max)):
         elapsed = time.perf_counter() - start
         all_match &= ok
         print(f"{p:>6} {additions:>12} {multiplications:>16} {predicted_additions(p):>14} "

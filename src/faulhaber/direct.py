@@ -8,8 +8,9 @@ coefficient is then fixed so the row sums to 1 (because f_i(1) = 1).
 
 Only a single rolling row is ever alive; it is updated in place from the
 highest power downward, so each slot is overwritten strictly after the
-slot below it has been consumed.  The last row handed out is kept, so a
-caller walking the degrees upward pays for each step once.
+slot below it has been consumed.  The module keeps no state: a caller
+walking the degrees upward passes the row it holds back in as `start`, and
+pays for each step once.
 """
 from __future__ import annotations
 
@@ -36,38 +37,23 @@ def _advance(row: list[Fraction], i: int, counter: OpCounter | None) -> None:
     row[0] = rat_sub(ONE, s, counter)
 
 
-# The last row direct_coefficients returned and the counter that tallied it
-# (None if uncounted).  Holding the counter keeps its identity from passing
-# to a new one.  The pair is replaced whole, never mutated, so a concurrent
-# caller always reads a consistent one.
-_last: tuple[OpCounter | None, CoefficientRow] = (None, CoefficientRow(0, (ONE,)))
-
-
-def direct_coefficients(p: int, counter: OpCounter | None = None) -> CoefficientRow:
+def direct_coefficients(
+    p: int, counter: OpCounter | None = None, start: CoefficientRow | None = None
+) -> CoefficientRow:
     """Coefficients of the Faulhaber formula for exponent p.
 
-    Starts from the single-entry row [1] (f_0(n) = n) and advances one
-    degree per step on a single rolling list.  With a fresh counter attached
-    the tallies come out to exactly p(p+1)/2 + p additions/subtractions and
+    Starts from the single-entry row [1] (f_0(n) = n), or from `start`, a
+    row of degree at most p, and advances one degree per step on a single
+    rolling list.  A counter gains the operations of the degrees after the
+    start: from [1], exactly p(p+1)/2 + p additions/subtractions and
     p(p+1)/2 multiplications.
-
-    A request with the same counter (or again none) as the previous call, for
-    the same degree or a higher one, continues from the previous row instead
-    of from [1]; the counter then holds the totals for degree p.  A request
-    without a counter for the previous row's degree returns that row, counted
-    or not, and keeps it as it was.  Any other request starts over.
     """
-    global _last
     if p < 0:
         raise ValueError(f"exponent must be >= 0, got {p}")
-    last_counter, last = _last
-    if counter is None and last.degree == p:
-        return last
-    if last_counter is not counter or last.degree > p:
-        last = CoefficientRow(0, (ONE,))
-    row = list(last.coefficients)
-    for i in range(last.degree + 1, p + 1):
+    start = start or CoefficientRow(0, (ONE,))
+    if start.degree > p:
+        raise ValueError(f"cannot continue to degree {p} from degree {start.degree}")
+    row = list(start.coefficients)
+    for i in range(start.degree + 1, p + 1):
         _advance(row, i, counter)
-    result = CoefficientRow(p, tuple(row))
-    _last = (counter, result)
-    return result
+    return CoefficientRow(p, tuple(row))

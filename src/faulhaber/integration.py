@@ -13,8 +13,9 @@ recurrence (the coefficient of n^(k+1) is p * c_k / (k+1), the linear one
 1 minus the rest), computed by separate code in another order.
 
 The polynomials and their antiderivatives are those of `rationals`.  This
-module does not participate in the operation-count cost model, which
-applies to the direct algorithm only.
+module keeps no state: a caller walking the degrees upward passes the row
+it holds back in.  It does not participate in the operation-count cost
+model, which applies to the direct algorithm only.
 """
 from __future__ import annotations
 
@@ -50,28 +51,22 @@ def integration_step(f_prev: Polynomial, p: int) -> Polynomial:
     return tuple(out)
 
 
-# The degree q and polynomial f_q that integration_coefficients reached last.
-# The pair is replaced whole, never mutated.
-_last: tuple[int, Polynomial] = (0, (ZERO, ONE))
-
-
-def integration_coefficients(p: int) -> CoefficientRow:
+def integration_coefficients(p: int, start: CoefficientRow | None = None) -> CoefficientRow:
     """Coefficient row for exponent p via the integration recurrence.
 
-    Starts from f_0(n) = n and applies integration_step p times, then drops
-    the constant coefficient, which a correct run leaves exactly zero.  A
-    request for the previous call's degree or a higher one continues from
-    the previous f instead of from f_0.
+    Starts from f_0(n) = n, or from the power-sum polynomial of `start`, a
+    row of degree at most p, and applies integration_step once per degree
+    after it.  Then drops the constant coefficient, which a correct run
+    leaves exactly zero.
     """
-    global _last
     if p < 0:
         raise ValueError(f"exponent must be >= 0, got {p}")
-    q, f = _last
-    if q > p:
-        q, f = 0, (ZERO, ONE)
-    for i in range(q + 1, p + 1):
+    start = start or CoefficientRow(0, (ONE,))
+    if start.degree > p:
+        raise ValueError(f"cannot continue to degree {p} from degree {start.degree}")
+    f = (ZERO, *start.coefficients)
+    for i in range(start.degree + 1, p + 1):
         f = integration_step(f, i)
-    _last = (p, f)
     return power_sum_polynomial_to_row(f)
 
 

@@ -20,7 +20,6 @@ plain `Fraction` operator arithmetic stays uncounted.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
 
@@ -33,7 +32,6 @@ __all__ = [
     "rat_mul",
     "CoefficientRow",
     "Polynomial",
-    "polynomial",
     "poly_eval",
     "integrate_polynomial",
 ]
@@ -171,14 +169,6 @@ class CoefficientRow(FrozenRecord):
 Polynomial = tuple[Fraction, ...]
 
 
-def polynomial(coeffs: Iterable[Fraction | int]) -> Polynomial:
-    """Normalize a coefficient sequence: exact rationals, trailing zeros cut."""
-    values = [Fraction(c) for c in coeffs]
-    while values and values[-1] == 0:
-        values.pop()
-    return tuple(values)
-
-
 def scaled(f: Polynomial) -> tuple[tuple[int, ...], int]:
     """f over its common denominator: (numerators, d) with d the least
     common multiple of the coefficient denominators and numerators[k] the
@@ -217,4 +207,7 @@ def integrate_polynomial(f: Polynomial) -> Polynomial:
     """Antiderivative with zero constant term: c_k t^k maps to c_k/(k+1) t^(k+1)."""
     if not f:
         return ()
-    return (ZERO,) + tuple(Fraction(c, k + 1) for k, c in enumerate(f))
+    # From integers: Fraction(c, k + 1) of a Fraction c takes the slow
+    # numbers.Rational path.
+    return (ZERO,) + tuple(
+        Fraction(c.numerator, c.denominator * (k + 1)) for k, c in enumerate(f))

@@ -167,17 +167,17 @@ def test_c9_cli_contract(capsys, monkeypatch):
     assert "result: PASS" in capsys.readouterr().out
 
     # A fault-injected build fails with a located mismatch.
-    genuine = cli.METHODS["bernoulli"]
+    genuine = cli.faulhaber_via_bernoulli
 
-    def flip_one_coefficient(p):
-        row = genuine(p)
+    def flip_one_coefficient(p, table=None):
+        row = genuine(p, table)
         if p != 9:
             return row
         coeffs = list(row.coefficients)
         coeffs[4] += F(1, 3)
         return CoefficientRow(row.degree, tuple(coeffs))
 
-    monkeypatch.setitem(cli.METHODS, "bernoulli", flip_one_coefficient)
+    monkeypatch.setattr(cli, "faulhaber_via_bernoulli", flip_one_coefficient)
     assert cli.main(["verify", "12"]) == 1
     out = capsys.readouterr().out
     assert "p=9" in out and "bernoulli" in out and "a_5" in out

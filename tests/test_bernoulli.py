@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import faulhaber.bernoulli
 from faulhaber import cli
 from faulhaber import (
+    BernoulliTable,
     bernoulli_numbers,
     bernoulli_polynomial,
     check_difference_identity,
@@ -20,11 +21,18 @@ from faulhaber import (
     faulhaber_via_bernoulli,
     integrate_polynomial,
     poly_eval,
-    polynomial,
     power_sum_bruteforce,
 )
 
 F = Fraction
+
+
+def polynomial(coeffs):
+    """Exact rationals with trailing zeros cut: the normal form of a polynomial."""
+    values = [F(c) for c in coeffs]
+    while values and values[-1] == 0:
+        values.pop()
+    return tuple(values)
 
 
 def akiyama_tanigawa(limit):
@@ -70,28 +78,8 @@ def test_table_shape_and_conventions():
 @given(st.lists(st.integers(0, 300), min_size=1, max_size=6))
 @example([40, 120, 7])
 def test_tables_do_not_depend_on_request_order(limits):
-    # Start from b_0 alone, so that the requests extend the shared numbers.
-    faulhaber.bernoulli._minus_prefix = (F(1),)
     for m in limits:
         assert list(bernoulli_numbers(m).values_plus) == AKIYAMA_TANIGAWA_300[: m + 1]
-
-
-def test_ascending_requests_rebuild_the_numbers_logarithmically(monkeypatch):
-    # From b_0 alone, a one-shot request builds just the tangent numbers its
-    # index needs, T_1..T_{m//2}: 2 * (m // 2) + 2 numbers.
-    for m in (1, 2, 7, 40):
-        monkeypatch.setattr(faulhaber.bernoulli, "_minus_prefix", (F(1),))
-        bernoulli_numbers(m)
-        assert len(faulhaber.bernoulli._minus_prefix) == 2 * (m // 2) + 2
-    # An ascending sweep replaces the shared numbers only a few times.  The
-    # list holds every prefix seen, so no identity is reused.
-    monkeypatch.setattr(faulhaber.bernoulli, "_minus_prefix", (F(1),))
-    prefixes = [faulhaber.bernoulli._minus_prefix]
-    for m in range(121):
-        assert list(bernoulli_numbers(m).values_plus) == AKIYAMA_TANIGAWA_300[: m + 1]
-        if faulhaber.bernoulli._minus_prefix is not prefixes[-1]:
-            prefixes.append(faulhaber.bernoulli._minus_prefix)
-    assert len(prefixes) <= 8
 
 
 def test_denominators_follow_von_staudt_clausen():
@@ -126,6 +114,27 @@ def test_closed_formula_rows_match_the_textbook_formula():
             (c.numerator, c.denominator) for c in textbook]
 
 
+def test_closed_formula_rows_read_the_table_passed():
+    # Every row cut from one table is the row built from a table of its own.
+    table = bernoulli_numbers(120)
+    for p in range(121):
+        assert faulhaber_via_bernoulli(p, table) == faulhaber_via_bernoulli(p)
+    # The row is read from the table given, not from one built afresh:
+    # shifting b_2 by 1 shifts the coefficient of n^5 in row 6 by C(7, 2)/7.
+    table = bernoulli_numbers(6)
+    plus = list(table.values_plus)
+    plus[2] += 1
+    shifted = BernoulliTable(6, table.values_minus, tuple(plus))
+    expected = list(faulhaber_via_bernoulli(6).coefficients)
+    expected[4] += F(comb(7, 2), 7)
+    assert faulhaber_via_bernoulli(6, shifted).coefficients == tuple(expected)
+
+
+def test_table_below_the_degree_rejected():
+    with pytest.raises(ValueError, match="b_4"):
+        faulhaber_via_bernoulli(5, bernoulli_numbers(4))
+
+
 def test_first_bernoulli_polynomials():
     assert bernoulli_polynomial(0) == polynomial([1])
     assert bernoulli_polynomial(1) == polynomial([F(-1, 2), 1])
@@ -136,7 +145,6 @@ def test_polynomials_do_not_depend_on_request_order(monkeypatch):
     # Start with no polynomial built, so that the requests extend the shared
     # tuple out of order; each must equal a fresh build from its numbers.
     monkeypatch.setattr(faulhaber.bernoulli, "_polynomials", ())
-    monkeypatch.setattr(faulhaber.bernoulli, "_minus_prefix", (F(1),))
     for i in (30, 3, 31, 0, 17, 31):
         table = bernoulli_numbers(i)
         fresh = polynomial(

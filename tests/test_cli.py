@@ -12,6 +12,7 @@ import pytest
 
 import faulhaber.bernoulli
 import faulhaber.direct
+import faulhaber.integration
 from faulhaber import CoefficientRow, bernoulli_polynomial
 from faulhaber import cli
 
@@ -201,9 +202,10 @@ def test_verify_trivial_range_passes(capsys):
 
 
 def test_verify_locates_injected_fault(capsys, monkeypatch):
-    genuine = cli.METHODS["lemma"]
+    genuine = cli.integration_coefficients
 
-    def flip_one_coefficient(p):
+    def flip_one_coefficient(p, start=None):
+        # Built from scratch, so the wrong row 7 is not carried on to row 8.
         row = genuine(p)
         if p != 7:
             return row
@@ -211,13 +213,13 @@ def test_verify_locates_injected_fault(capsys, monkeypatch):
         coeffs[2] += Fraction(1, 2)
         return CoefficientRow(row.degree, tuple(coeffs))
 
-    monkeypatch.setitem(cli.METHODS, "lemma", flip_one_coefficient)
+    monkeypatch.setattr(cli, "integration_coefficients", flip_one_coefficient)
     code, out, _ = run_cli(capsys, "verify", "10")
     assert code == 1
     assert "result: FAIL" in out
-    assert "p=7" in out
-    assert "lemma" in out
-    assert "a_3" in out
+    assert "  row equality: 2 mismatch(es)\n" in out
+    assert "    p=7 direct vs lemma: coefficients differ first at a_3\n" in out
+    assert "    p=7 lemma vs bernoulli: coefficients differ first at a_3\n" in out
 
 
 def test_verify_locates_wrong_operation_count(capsys, monkeypatch):
@@ -301,8 +303,8 @@ def test_identity_phase_evaluates_each_polynomial_once_per_point(monkeypatch):
 
 
 def test_verify_builds_each_direct_row_once(monkeypatch):
-    # The counted pass builds rows 1..40, one `_advance` each; the uncounted
-    # direct row of each comparison is the row the counted pass kept.
+    # The counted pass builds rows 1..40, one `_advance` each, and the
+    # comparisons use its rows.
     advances = []
     genuine = faulhaber.direct._advance
 
@@ -314,6 +316,36 @@ def test_verify_builds_each_direct_row_once(monkeypatch):
     report = cli.run_verification(40)
     assert report.passed
     assert advances == list(range(1, 41))
+
+
+def test_verify_carries_the_lemma_row_and_reads_one_table(monkeypatch):
+    # The lemma pass takes one integration step per degree, and every
+    # Bernoulli row reads the one table built for p_max.
+    steps, numbers, limits = [], [], []
+    genuine_step = faulhaber.integration.integration_step
+    genuine_numbers = cli.bernoulli_numbers
+    genuine_row = cli.faulhaber_via_bernoulli
+
+    def counted_step(f, i):
+        steps.append(i)
+        return genuine_step(f, i)
+
+    def counted_numbers(m):
+        numbers.append(m)
+        return genuine_numbers(m)
+
+    def recorded_row(p, table=None):
+        limits.append(table.limit)
+        return genuine_row(p, table)
+
+    monkeypatch.setattr(faulhaber.integration, "integration_step", counted_step)
+    monkeypatch.setattr(cli, "bernoulli_numbers", counted_numbers)
+    monkeypatch.setattr(cli, "faulhaber_via_bernoulli", recorded_row)
+    report = cli.run_verification(40)
+    assert report.passed
+    assert steps == list(range(1, 41))
+    assert numbers == [40]
+    assert limits == [40] * 41
 
 
 def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):

@@ -12,11 +12,18 @@ from faulhaber import (
     integration_coefficients,
     integration_step,
     poly_eval,
-    polynomial,
     power_sum_polynomial_to_row,
 )
 
 F = Fraction
+
+
+def polynomial(coeffs):
+    """Exact rationals with trailing zeros cut: the normal form of a polynomial."""
+    values = [F(c) for c in coeffs]
+    while values and values[-1] == 0:
+        values.pop()
+    return tuple(values)
 
 
 def differentiate(f):
