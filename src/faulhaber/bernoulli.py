@@ -12,15 +12,17 @@ polynomials interpolate at 0, while the closed formula above needs the
 stored side by side so no caller ever flips a sign ad hoc — conflating the
 two is the classic off-by-sign bug this module is shaped to prevent.
 Each `bernoulli_numbers` call builds its own table, and the closed formula
-reads the table its caller passes, so the rows keep no state.
+and the polynomials read the table their caller passes, so the module keeps
+no state between calls.
 
 The three check_* functions evaluate, in exact arithmetic, the textbook
 identities tying power sums to Bernoulli polynomials; the verification
-command runs them over fixed ranges.  They compare integers only: each
-polynomial is scaled to its common denominator once per process, `horner`
-gives its value at each point once per process, as an integer over a
-positive denominator (d itself at an integer point), and each identity is
-cross-multiplied by its denominators, so no check builds a Fraction.
+command runs them over fixed ranges.  They compare integers only: one
+`IdentityValues`, built per run of the checks and passed to each, holds
+every polynomial scaled to its common denominator and gives its value at
+each point once, from `horner`, as an integer over a positive denominator
+(d itself at an integer point); each identity is cross-multiplied by its
+denominators, so no check builds a Fraction.
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ __all__ = [
     "bernoulli_numbers",
     "faulhaber_via_bernoulli",
     "bernoulli_polynomial",
+    "IdentityValues",
     "check_power_sum_identity",
     "check_integral_identity",
     "check_difference_identity",
@@ -123,78 +126,58 @@ def faulhaber_via_bernoulli(p: int, table: BernoulliTable | None = None) -> Coef
     return CoefficientRow(p, tuple(coeffs))
 
 
-# Bernoulli polynomials B_0..B_k built so far: replaced whole by a longer
-# copy, entries never change.
-_polynomials: tuple[Polynomial, ...] = ()
-
-
-def bernoulli_polynomial(i: int) -> Polynomial:
+def bernoulli_polynomial(i: int, table: BernoulliTable | None = None) -> Polynomial:
     """The i-th Bernoulli polynomial B_i(t) = sum_k C(i, k) * b_k * t^(i-k).
 
     Built from the minus convention, so B_i(0) is the minus-convention
-    number and B_i(1) the plus-convention one.  Each B_i is built once per
-    process; later requests reuse it.
+    number and B_i(1) the plus-convention one.  The numbers come from
+    `table`, whose limit must be at least i, or from a table built for i.
     """
-    global _polynomials
     if i < 0:
         raise ValueError(f"polynomial index must be >= 0, got {i}")
-    if len(_polynomials) <= i:
-        minus = bernoulli_numbers(i).values_minus
-        # Each term is one Fraction built from integers, and the top one is
-        # C(j, 0) * b_0 = 1, so there is no trailing zero to trim.
-        _polynomials += tuple(
-            tuple(Fraction(comb(j, k) * minus[k].numerator, minus[k].denominator)
-                  for k in range(j, -1, -1))
-            for j in range(len(_polynomials), i + 1)
-        )
-    return _polynomials[i]
+    table = table or bernoulli_numbers(i)
+    if table.limit < i:
+        raise ValueError(f"a table through b_{table.limit} cannot give B_{i}")
+    minus = table.values_minus
+    # Each term is one Fraction built from integers, and the top one is
+    # C(i, 0) * b_0 = 1, so there is no trailing zero to trim.
+    return tuple(Fraction(comb(i, k) * minus[k].numerator, minus[k].denominator)
+                 for k in range(i, -1, -1))
 
 
-# Antiderivatives (zero constant term) of B_0..B_k, kept like _polynomials.
-_antiderivatives: tuple[Polynomial, ...] = ()
+class IdentityValues:
+    """B_0..B_limit from one table, their antiderivatives (zero constant
+    term), each scaled once, and their values, each computed once per point.
+
+    `values(i, x)` is B_i(x), and with `integrated=True` the antiderivative
+    of B_i at x, as `horner` gives it: an integer over a positive
+    denominator, d itself at an integer x.  An integer point and the equal
+    Fraction share one value.  An index above `limit` raises ValueError.
+    """
+
+    __slots__ = ("limit", "polynomials", "antiderivatives", "_forms", "_values")
+
+    def __init__(self, limit: int) -> None:
+        table = bernoulli_numbers(limit)
+        self.limit = limit
+        # Through the module global, which a tracer or a test may wrap.
+        self.polynomials = tuple(bernoulli_polynomial(i, table) for i in range(limit + 1))
+        self.antiderivatives = tuple(map(integrate_polynomial, self.polynomials))
+        self._forms = tuple(tuple(map(scaled, polynomials))
+                            for polynomials in (self.polynomials, self.antiderivatives))
+        self._values: dict[tuple[bool, int, int, int], tuple[int, int]] = {}
+
+    def __call__(self, i: int, x: Fraction | int, integrated: bool = False) -> tuple[int, int]:
+        key = integrated, i, x.numerator, x.denominator
+        value = self._values.get(key)
+        if value is None:
+            if not 0 <= i <= self.limit:
+                raise ValueError(f"values through B_{self.limit} cannot give B_{i}")
+            value = self._values[key] = horner(*self._forms[integrated][i], x)
+        return value
 
 
-def _antiderivative(i: int) -> Polynomial:
-    """The symbolic antiderivative of B_i, integrated once per process."""
-    global _antiderivatives
-    if len(_antiderivatives) <= i:
-        _antiderivatives += tuple(
-            integrate_polynomial(bernoulli_polynomial(j))
-            for j in range(len(_antiderivatives), i + 1)
-        )
-    return _antiderivatives[i]
-
-
-# The scaled form (numerators, d) of every polynomial the checks evaluate,
-# made once per polynomial, and its values so far, each computed once per
-# point.  Keyed by the identity of the polynomial that `bernoulli_polynomial`
-# or `_antiderivative` returned, and holding it so the identity is not
-# reused: a cache entry replaced by another polynomial gets a scaled form
-# and values of its own.  The values are keyed by the point's (numerator,
-# denominator), so an integer point and the equal Fraction endpoint share
-# one value; they grow with the distinct points asked for, 880 over the
-# ranges `verify` checks.  (Hashing by value would call the Python-level
-# hash of every Fraction, coefficient or endpoint, on each lookup.)
-_scaled_forms: dict[
-    int, tuple[Polynomial, tuple[tuple[int, ...], int], dict[tuple[int, int], tuple[int, int]]]
-] = {}
-
-
-def _value(f: Polynomial, x: Fraction | int) -> tuple[int, int]:
-    """f(x) as `horner` gives it for the scaled form of f: an integer over a
-    positive denominator, the common denominator d of f at an integer x."""
-    entry = _scaled_forms.get(id(f))
-    if entry is None:
-        entry = _scaled_forms[id(f)] = (f, scaled(f), {})
-    _, form, values = entry
-    point = x.numerator, x.denominator
-    value = values.get(point)
-    if value is None:
-        value = values[point] = horner(*form, x)
-    return value
-
-
-def check_power_sum_identity(p: int, n: int) -> bool:
+def check_power_sum_identity(p: int, n: int, values: IdentityValues) -> bool:
     """Does f_{p-1}(n) equal (B_p(n+1) - B_p(1)) / p?  Exact, brute-force left side.
 
     The subtracted constant is B_p at 1, the plus-convention Bernoulli
@@ -205,39 +188,35 @@ def check_power_sum_identity(p: int, n: int) -> bool:
     if p < 1:
         raise ValueError(f"power-sum identity needs p >= 1, got {p}")
     left = power_sum_bruteforce(p - 1, n)
-    polynomial = bernoulli_polynomial(p)
-    high, d = _value(polynomial, n + 1)
-    low, _ = _value(polynomial, 1)
+    high, d = values(p, n + 1)
+    low, _ = values(p, 1)
     return high - low == p * d * left
 
 
-def check_integral_identity(i: int, a: Fraction, b: Fraction) -> bool:
+def check_integral_identity(i: int, a: Fraction, b: Fraction, values: IdentityValues) -> bool:
     """Does the integral of B_i over [a, b] equal (B_{i+1}(b) - B_{i+1}(a))/(i+1)?
 
-    The left side is integrated symbolically, once per B_i, and evaluated
-    at the endpoints; both sides are exact.  With F = P/Q the antiderivative
-    and B_{i+1} = R/S at each endpoint, the test is
+    The left side is B_i integrated symbolically and evaluated at the
+    endpoints; both sides are exact.  With F = P/Q the antiderivative and
+    B_{i+1} = R/S at each endpoint, the test is
     (i+1) (P(b) Q(a) - P(a) Q(b)) S(a) S(b) == (R(b) S(a) - R(a) S(b)) Q(a) Q(b).
     """
     if i < 0:
         raise ValueError(f"polynomial index must be >= 0, got {i}")
-    antiderivative = _antiderivative(i)
-    successor = bernoulli_polynomial(i + 1)
-    pa, qa = _value(antiderivative, a)
-    pb, qb = _value(antiderivative, b)
-    ra, sa = _value(successor, a)
-    rb, sb = _value(successor, b)
+    pa, qa = values(i, a, integrated=True)
+    pb, qb = values(i, b, integrated=True)
+    ra, sa = values(i + 1, a)
+    rb, sb = values(i + 1, b)
     return (i + 1) * (pb * qa - pa * qb) * sa * sb == (rb * sa - ra * sb) * qa * qb
 
 
-def check_difference_identity(i: int, n: int) -> bool:
+def check_difference_identity(i: int, n: int, values: IdentityValues) -> bool:
     """Does B_i(n+1) - B_i(n) equal i * n^(i-1)?  Defined for i > 1 only.
 
     With B_i = H/d, the test is H(n+1) - H(n) == i * d * n^(i-1).
     """
     if i <= 1:
         raise ValueError(f"difference identity needs i > 1, got {i}")
-    polynomial = bernoulli_polynomial(i)
-    high, d = _value(polynomial, n + 1)
-    low, _ = _value(polynomial, n)
+    high, d = values(i, n + 1)
+    low, _ = values(i, n)
     return high - low == i * d * n ** (i - 1)

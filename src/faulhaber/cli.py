@@ -23,6 +23,7 @@ from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 
 from .bernoulli import (
+    IdentityValues,
     bernoulli_numbers,
     check_difference_identity,
     check_integral_identity,
@@ -235,10 +236,16 @@ def _tally(check: Callable[..., bool], *ranges: Iterable) -> tuple[int, int]:
 def _identity_tallies() -> dict[str, tuple[int, int]]:
     # The checks are looked up at call time, not kept in a table built at
     # import: a tracer that swaps the module globals must see every call.
+    # Each takes one IdentityValues through the highest index the families
+    # read (the integral identity reads B_{i+1}) as its last argument.
+    values = (IdentityValues(max(POWER_SUM_IDENTITY_RANGE[0][-1],
+                                 INTEGRAL_IDENTITY_RANGE[0][-1] + 1,
+                                 DIFFERENCE_IDENTITY_RANGE[0][-1])),)
     return {
-        "power-sum identity": _tally(check_power_sum_identity, *POWER_SUM_IDENTITY_RANGE),
-        "integral identity": _tally(check_integral_identity, *INTEGRAL_IDENTITY_RANGE),
-        "difference identity": _tally(check_difference_identity, *DIFFERENCE_IDENTITY_RANGE),
+        "power-sum identity": _tally(check_power_sum_identity, *POWER_SUM_IDENTITY_RANGE, values),
+        "integral identity": _tally(check_integral_identity, *INTEGRAL_IDENTITY_RANGE, values),
+        "difference identity": _tally(
+            check_difference_identity, *DIFFERENCE_IDENTITY_RANGE, values),
     }
 
 

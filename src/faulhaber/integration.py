@@ -26,7 +26,6 @@ from .rationals import ONE, ZERO, CoefficientRow, Polynomial, integrate_polynomi
 __all__ = [
     "integration_step",
     "integration_coefficients",
-    "power_sum_polynomial_to_row",
 ]
 
 def integration_step(f_prev: Polynomial, p: int) -> Polynomial:
@@ -67,10 +66,10 @@ def integration_coefficients(p: int, start: CoefficientRow | None = None) -> Coe
     f = (ZERO, *start.coefficients)
     for i in range(start.degree + 1, p + 1):
         f = integration_step(f, i)
-    return power_sum_polynomial_to_row(f)
+    return _to_row(f)
 
 
-def power_sum_polynomial_to_row(f: Polynomial) -> CoefficientRow:
+def _to_row(f: Polynomial) -> CoefficientRow:
     """Convert a power-sum polynomial to its coefficient row.
 
     Fails loudly on a nonzero constant coefficient: power sums have none,

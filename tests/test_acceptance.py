@@ -15,6 +15,7 @@ import pytest
 
 from faulhaber import (
     CoefficientRow,
+    IdentityValues,
     OpCounter,
     bernoulli_numbers,
     check_difference_identity,
@@ -119,19 +120,20 @@ def test_c6_coefficient_observations():
 def test_c7_bernoulli_polynomial_identities():
     endpoints = (F(0), F(1), F(1, 2), F(-1), F(2))
     start = time.perf_counter()
+    values = IdentityValues(31)  # one set of polynomials and values for every check
     for p in range(1, 31):
         for n in range(1, 21):
-            assert check_power_sum_identity(p, n)
+            assert check_power_sum_identity(p, n, values)
     for i in range(0, 31):
         for a in endpoints:
             for b in endpoints:
-                assert check_integral_identity(i, a, b)
+                assert check_integral_identity(i, a, b, values)
     for i in range(2, 31):
         for n in range(0, 21):
-            assert check_difference_identity(i, n)
+            assert check_difference_identity(i, n, values)
     for bad in (0, 1):
         with pytest.raises(ValueError):
-            check_difference_identity(bad, 4)
+            check_difference_identity(bad, 4, values)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     report("7. power-sum, integral, and difference identities hold on full ranges")

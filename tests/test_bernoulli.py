@@ -12,6 +12,7 @@ import faulhaber.bernoulli
 from faulhaber import cli
 from faulhaber import (
     BernoulliTable,
+    IdentityValues,
     bernoulli_numbers,
     bernoulli_polynomial,
     check_difference_identity,
@@ -25,6 +26,9 @@ from faulhaber import (
 )
 
 F = Fraction
+# The polynomials and values of the identities through B_31, the highest
+# index `verify` reads, shared by the checks below that patch nothing.
+VALUES = IdentityValues(31)
 
 
 def polynomial(coeffs):
@@ -141,17 +145,23 @@ def test_first_bernoulli_polynomials():
     assert bernoulli_polynomial(2) == polynomial([F(1, 6), -1, 1])
 
 
-def test_polynomials_do_not_depend_on_request_order(monkeypatch):
-    # Start with no polynomial built, so that the requests extend the shared
-    # tuple out of order; each must equal a fresh build from its numbers.
-    monkeypatch.setattr(faulhaber.bernoulli, "_polynomials", ())
+def test_polynomials_do_not_depend_on_request_order():
+    # Out of order, from a table built for i or one shared table built for
+    # 31, each polynomial equals a fresh build from its numbers.
+    shared = bernoulli_numbers(31)
     for i in (30, 3, 31, 0, 17, 31):
         table = bernoulli_numbers(i)
         fresh = polynomial(
             comb(i, k) * table.values_minus[k] for k in range(i, -1, -1)
         )
         assert bernoulli_polynomial(i) == fresh
-    assert len(faulhaber.bernoulli._polynomials) == 32
+        assert bernoulli_polynomial(i, shared) == fresh
+
+
+def test_polynomial_table_below_the_index_rejected():
+    with pytest.raises(ValueError, match="b_4"):
+        bernoulli_polynomial(5, bernoulli_numbers(4))
+    assert bernoulli_polynomial(4, bernoulli_numbers(4)) == bernoulli_polynomial(4)
 
 
 @pytest.mark.parametrize("i", range(0, 31))
@@ -164,17 +174,17 @@ def test_polynomial_interpolates_both_conventions(i):
 
 def test_power_sum_identity_example():
     assert power_sum_bruteforce(2, 5) == 55  # 1 + 4 + 9 + 16 + 25
-    assert check_power_sum_identity(3, 5)
+    assert check_power_sum_identity(3, 5, VALUES)
 
 
 @pytest.mark.parametrize("p", range(1, 13))
 def test_power_sum_identity_small_range(p):
-    assert all(check_power_sum_identity(p, n) for n in range(1, 11))
+    assert all(check_power_sum_identity(p, n, VALUES) for n in range(1, 11))
 
 
 def test_power_sum_identity_rejects_zero_index():
     with pytest.raises(ValueError):
-        check_power_sum_identity(0, 3)
+        check_power_sum_identity(0, 3, VALUES)
 
 
 ENDPOINTS = (F(0), F(1), F(1, 2), F(-1), F(2))
@@ -182,44 +192,58 @@ ENDPOINTS = (F(0), F(1), F(1, 2), F(-1), F(2))
 
 @pytest.mark.parametrize("i", range(0, 13))
 def test_integral_identity_small_range(i):
-    assert all(check_integral_identity(i, a, b) for a in ENDPOINTS for b in ENDPOINTS)
+    assert all(check_integral_identity(i, a, b, VALUES) for a in ENDPOINTS for b in ENDPOINTS)
 
 
 def test_integral_identity_example():
-    assert check_integral_identity(2, F(0), F(1))
+    assert check_integral_identity(2, F(0), F(1), VALUES)
 
 
 def test_antiderivatives_are_integrated_once(monkeypatch):
-    # Start with none integrated, so that the checks extend the shared tuple
-    # out of order: each B_i is integrated symbolically exactly once.
+    # One IdentityValues integrates each of B_0..B_31 symbolically exactly
+    # once, and checks out of order integrate nothing more.
     integrated = []
 
     def counted(f):
         integrated.append(f)
         return integrate_polynomial(f)
 
-    monkeypatch.setattr(faulhaber.bernoulli, "_antiderivatives", ())
     monkeypatch.setattr(faulhaber.bernoulli, "integrate_polynomial", counted)
+    values = IdentityValues(31)
     for i in (30, 3, 0, 17, 30):
-        assert all(check_integral_identity(i, a, b) for a in ENDPOINTS for b in ENDPOINTS)
-    assert integrated == [bernoulli_polynomial(i) for i in range(31)]
-    assert faulhaber.bernoulli._antiderivatives == tuple(map(integrate_polynomial, integrated))
+        assert all(check_integral_identity(i, a, b, values) for a in ENDPOINTS for b in ENDPOINTS)
+    assert integrated == [bernoulli_polynomial(i) for i in range(32)]
+    assert values.antiderivatives == tuple(map(integrate_polynomial, integrated))
+
+
+def test_values_above_the_limit_rejected():
+    values = IdentityValues(4)
+    assert values(4, 2) == VALUES(4, 2)
+    assert values(4, F(1, 2), integrated=True) == VALUES(4, F(1, 2), integrated=True)
+    with pytest.raises(ValueError, match="B_5"):
+        values(5, 2)
+    with pytest.raises(ValueError, match="B_5"):
+        values(5, 2, integrated=True)
+    with pytest.raises(ValueError, match="B_5"):
+        check_integral_identity(4, F(0), F(1), values)
+    with pytest.raises(ValueError, match="B_5"):
+        check_difference_identity(5, 2, values)
 
 
 def test_difference_identity_example():
     # B_2(4) - B_2(3) = 2 * 3
-    assert check_difference_identity(2, 3)
+    assert check_difference_identity(2, 3, VALUES)
 
 
 @pytest.mark.parametrize("i", range(2, 13))
 def test_difference_identity_small_range(i):
-    assert all(check_difference_identity(i, n) for n in range(0, 11))
+    assert all(check_difference_identity(i, n, VALUES) for n in range(0, 11))
 
 
 @pytest.mark.parametrize("i", [0, 1])
 def test_difference_identity_rejects_low_index(i):
     with pytest.raises(ValueError):
-        check_difference_identity(i, 4)
+        check_difference_identity(i, 4, VALUES)
 
 
 def fraction_value(f, x):
@@ -230,21 +254,21 @@ def fraction_value(f, x):
     return value
 
 
-def power_sum_by_fractions(p, n):
-    b_poly = bernoulli_polynomial(p)
+def power_sum_by_fractions(p, n, values):
+    b_poly = values.polynomials[p]
     right = (fraction_value(b_poly, n + 1) - fraction_value(b_poly, 1)) / p
     return power_sum_bruteforce(p - 1, n) == right
 
 
-def integral_by_fractions(i, a, b):
-    antiderivative = integrate_polynomial(bernoulli_polynomial(i))
-    successor = bernoulli_polynomial(i + 1)
+def integral_by_fractions(i, a, b, values):
+    antiderivative = integrate_polynomial(values.polynomials[i])
+    successor = values.polynomials[i + 1]
     left = fraction_value(antiderivative, b) - fraction_value(antiderivative, a)
     return left == (fraction_value(successor, b) - fraction_value(successor, a)) / (i + 1)
 
 
-def difference_by_fractions(i, n):
-    b_poly = bernoulli_polynomial(i)
+def difference_by_fractions(i, n, values):
+    b_poly = values.polynomials[i]
     return fraction_value(b_poly, n + 1) - fraction_value(b_poly, n) == i * n ** (i - 1)
 
 
@@ -259,18 +283,17 @@ IDENTITY_FAMILIES = [
 @pytest.mark.parametrize(
     "check, reference, ranges", IDENTITY_FAMILIES, ids=["power-sum", "integral", "difference"])
 def test_integer_checks_agree_with_fraction_arithmetic(
-        monkeypatch, shift_b4, check, reference, ranges):
+        shift_b4_linear, shift_b4, check, reference, ranges):
     # Over the whole default range of `verify`, the integer cross-multiplied
     # checks give the same verdicts as the identities written in Fractions,
     # for the true polynomials and with the linear coefficient of B_4 shifted
-    # in the shared cache (the antiderivatives are then integrated afresh).
+    # where `IdentityValues` builds it (its antiderivative then integrates
+    # the shifted B_4).
     if shift_b4:
-        bernoulli_polynomial(31)
-        polynomials = list(faulhaber.bernoulli._polynomials)
-        polynomials[4] = (polynomials[4][0], polynomials[4][1] + 1, *polynomials[4][2:])
-        monkeypatch.setattr(faulhaber.bernoulli, "_polynomials", tuple(polynomials))
-        monkeypatch.setattr(faulhaber.bernoulli, "_antiderivatives", ())
-    points = list(itertools.product(*ranges))
+        shift_b4_linear()
+    values = IdentityValues(31)
+    assert (values.polynomials[4] == bernoulli_polynomial(4)) is not shift_b4
+    points = list(itertools.product(*ranges, [values]))
     verdicts = [check(*args) for args in points]
     assert verdicts == [reference(*args) for args in points]
     assert all(verdicts) is not shift_b4

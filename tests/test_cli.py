@@ -13,7 +13,7 @@ import pytest
 import faulhaber.bernoulli
 import faulhaber.direct
 import faulhaber.integration
-from faulhaber import CoefficientRow, bernoulli_polynomial
+from faulhaber import CoefficientRow
 from faulhaber import cli
 
 
@@ -236,18 +236,11 @@ def test_verify_locates_wrong_operation_count(capsys, monkeypatch):
     assert "result: FAIL" in out
 
 
-def test_verify_reports_failed_identities(capsys, monkeypatch):
-    # Shift the linear coefficient of B_4 by one in the shared polynomials:
-    # every identity family has checks that involve B_4 and see the change.
-    # The antiderivatives are emptied too, so they are integrated from the
-    # shifted B_4, and `undo` puts back both caches.
-    bernoulli_polynomial(31)
-    polynomials = list(faulhaber.bernoulli._polynomials)
-    b4 = list(polynomials[4])
-    b4[1] += 1
-    polynomials[4] = tuple(b4)
-    monkeypatch.setattr(faulhaber.bernoulli, "_polynomials", tuple(polynomials))
-    monkeypatch.setattr(faulhaber.bernoulli, "_antiderivatives", ())
+def test_verify_reports_failed_identities(capsys, monkeypatch, shift_b4_linear):
+    # Shift the linear coefficient of B_4 by one where the identity phase
+    # builds it: every identity family has checks that involve B_4 and see
+    # the change, the antiderivative included, and `undo` puts B_4 back.
+    shift_b4_linear()
     code, out, _ = run_cli(capsys, "verify", "3")
     assert code == 1
     assert "row equality: OK" in out
@@ -270,8 +263,8 @@ def test_verify_reports_failed_identities(capsys, monkeypatch):
 
 def test_identity_phase_evaluates_each_polynomial_once_per_point(monkeypatch):
     # Every (polynomial, point) pair the three families need is evaluated by
-    # `horner` once per process, an integer point and the equal Fraction
-    # endpoint sharing one value; a second identity phase evaluates nothing.
+    # `horner` once per identity phase, an integer point and the equal
+    # Fraction endpoint sharing one value; a second phase evaluates them again.
     evaluations = []
     genuine = faulhaber.bernoulli.horner
 
@@ -279,7 +272,6 @@ def test_identity_phase_evaluates_each_polynomial_once_per_point(monkeypatch):
         evaluations.append(x)
         return genuine(numerators, d, x)
 
-    monkeypatch.setattr(faulhaber.bernoulli, "_scaled_forms", {})
     monkeypatch.setattr(faulhaber.bernoulli, "horner", counted)
     pairs = set()
     for p, n in itertools.product(*cli.POWER_SUM_IDENTITY_RANGE):
@@ -295,11 +287,29 @@ def test_identity_phase_evaluates_each_polynomial_once_per_point(monkeypatch):
         "difference identity": (609, 0),
     }
 
+    assert len(pairs) == 880
     assert cli._identity_tallies() == tallies
-    assert len(evaluations) == len(pairs)
+    assert len(evaluations) == 880
     evaluations.clear()
     assert cli._identity_tallies() == tallies
-    assert evaluations == []
+    assert len(evaluations) == 880
+
+
+def test_identity_phase_builds_one_table_and_each_polynomial_once(monkeypatch):
+    # One table of Bernoulli numbers through B_31, the highest index the
+    # families read, and one call per polynomial B_0..B_31, counted where
+    # the tracer wraps them.
+    calls = []
+    for name in ("bernoulli_numbers", "bernoulli_polynomial"):
+        genuine = getattr(faulhaber.bernoulli, name)
+
+        def counted(*args, name=name, genuine=genuine):
+            calls.append((name, args[0]))
+            return genuine(*args)
+
+        monkeypatch.setattr(faulhaber.bernoulli, name, counted)
+    assert all(failed == 0 for _, failed in cli._identity_tallies().values())
+    assert calls == [("bernoulli_numbers", 31)] + [("bernoulli_polynomial", i) for i in range(32)]
 
 
 def test_verify_builds_each_direct_row_once(monkeypatch):

@@ -12,8 +12,8 @@ from faulhaber import (
     integration_coefficients,
     integration_step,
     poly_eval,
-    power_sum_polynomial_to_row,
 )
+from faulhaber.integration import _to_row
 
 F = Fraction
 
@@ -150,11 +150,11 @@ def test_constant_coefficient_stays_exactly_zero():
 
 def test_row_conversion_requires_zero_constant():
     with pytest.raises(ValueError):
-        power_sum_polynomial_to_row(polynomial([F(1, 2), 1]))
+        _to_row(polynomial([F(1, 2), 1]))
     with pytest.raises(ValueError):
-        power_sum_polynomial_to_row(polynomial([1]))
+        _to_row(polynomial([1]))
 
 
 def test_row_polynomial_round_trip():
     row = direct_coefficients(7)
-    assert power_sum_polynomial_to_row(row_to_polynomial(row)) == row
+    assert _to_row(row_to_polynomial(row)) == row
