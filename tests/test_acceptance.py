@@ -188,3 +188,23 @@ def test_c9_cli_contract(capsys, monkeypatch):
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report("9. CLI: identical methods, verify 20 passes, injected fault located")
+
+
+def test_c10_lemma_rows_exact_against_bernoulli_within_budget():
+    # The Bernoulli rows share no arithmetic with the lemma path's integer
+    # rows, so equality here is an independent check of every entry.
+    start = time.perf_counter()
+    table = bernoulli_numbers(400)
+    row = None
+    for p in range(401):
+        row = integration_coefficients(p, row)  # continued degree by degree
+        assert row == faulhaber_via_bernoulli(p, table)
+        assert all(type(c) is Fraction for c in row.coefficients)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0
+    rows = []
+    elapsed = best_seconds(lambda: rows.append(integration_coefficients(700)), repeats=3)
+    assert elapsed < 1.0
+    assert rows[0] == faulhaber_via_bernoulli(700)
+    assert all(type(c) is Fraction for c in rows[0].coefficients)
+    report("10. lemma rows equal Bernoulli rows for p<=400 and p=700, p=700 under 1 s")

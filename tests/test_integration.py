@@ -1,6 +1,7 @@
-"""Integration path: antiderivatives, the recurrence step, and agreement
-with the direct rows."""
+"""Integration path: antiderivatives, the recurrence step on the scaled
+integer form, and agreement with the direct rows."""
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given
@@ -10,10 +11,10 @@ from faulhaber import (
     direct_coefficients,
     integrate_polynomial,
     integration_coefficients,
-    integration_step,
     poly_eval,
 )
-from faulhaber.integration import _to_row
+from faulhaber.integration import _to_row, integration_step
+from faulhaber.rationals import scaled
 
 F = Fraction
 
@@ -111,25 +112,45 @@ def test_polynomial_trims_trailing_zeros():
 
 
 def test_step_from_known_polynomials():
-    f0 = polynomial([0, 1])
+    f0 = scaled(polynomial([0, 1]))
     f1 = integration_step(f0, 1)
-    assert f1 == polynomial([0, F(1, 2), F(1, 2)])
+    assert f1 == ((0, 1, 1), 2)
     f2 = integration_step(f1, 2)
-    assert f2 == polynomial([0, F(1, 6), F(1, 2), F(1, 3)])
+    assert f2 == scaled(polynomial([0, F(1, 6), F(1, 2), F(1, 3)]))
     f3 = integration_step(f2, 3)
-    assert f3 == polynomial([0, 0, F(1, 4), F(1, 2), F(1, 4)])
+    assert f3 == scaled(polynomial([0, 0, F(1, 4), F(1, 2), F(1, 4)]))
 
 
 def test_step_rejects_zero_degree():
     with pytest.raises(ValueError):
-        integration_step(polynomial([0, 1]), 0)
+        integration_step(scaled(polynomial([0, 1])), 0)
 
 
 @pytest.mark.parametrize("i", range(1, 26))
 def test_step_advances_direct_rows(i):
-    previous = row_to_polynomial(direct_coefficients(i - 1))
+    previous = scaled(row_to_polynomial(direct_coefficients(i - 1)))
     advanced = integration_step(previous, i)
-    assert advanced == row_to_polynomial(direct_coefficients(i))
+    assert advanced == scaled(row_to_polynomial(direct_coefficients(i)))
+
+
+def reference_step(f, p):
+    """The recurrence on Fractions, with a test-local antiderivative:
+    p * F + (1 - p * F(1)) * n."""
+    antiderivative = (F(0),) + tuple(c / (k + 1) for k, c in enumerate(f))
+    out = [p * c for c in antiderivative]
+    out[1] += 1 - p * sum(antiderivative)
+    return polynomial(out)
+
+
+def test_every_step_returns_the_canonical_scaled_form():
+    reference = polynomial([0, 1])
+    f = scaled(reference)
+    for i in range(1, 61):
+        reference = reference_step(reference, i)
+        numerators, d = f = integration_step(f, i)
+        assert type(d) is int and all(type(c) is int for c in numerators)
+        assert d > 0 and gcd(d, *numerators) == 1 and numerators[-1] != 0
+        assert f == scaled(reference)
 
 
 def test_rows_for_small_degrees():
@@ -142,19 +163,21 @@ def test_agrees_with_direct_path():
 
 
 def test_constant_coefficient_stays_exactly_zero():
-    f = polynomial([0, 1])
+    f = scaled(polynomial([0, 1]))
     for i in range(1, 21):
         f = integration_step(f, i)
-        assert f[0] == 0
+        assert f[0][0] == 0
 
 
 def test_row_conversion_requires_zero_constant():
     with pytest.raises(ValueError):
-        _to_row(polynomial([F(1, 2), 1]))
+        _to_row(scaled(polynomial([F(1, 2), 1])))
     with pytest.raises(ValueError):
-        _to_row(polynomial([1]))
+        _to_row(scaled(polynomial([1])))
 
 
 def test_row_polynomial_round_trip():
     row = direct_coefficients(7)
-    assert _to_row(row_to_polynomial(row)) == row
+    converted = _to_row(scaled(row_to_polynomial(row)))
+    assert converted == row
+    assert all(type(c) is Fraction for c in converted.coefficients)
