@@ -71,6 +71,11 @@ class BernoulliTable(FrozenRecord):
         values_minus: tuple[Fraction, ...],
         values_plus: tuple[Fraction, ...],
     ) -> None:
+        if not len(values_minus) == len(values_plus) == limit + 1:
+            raise ValueError(
+                f"a table through b_{limit} holds {limit + 1} numbers per "
+                f"convention, got {len(values_minus)} and {len(values_plus)}"
+            )
         super().__init__(limit, values_minus, values_plus)
 
 

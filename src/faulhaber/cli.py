@@ -152,10 +152,8 @@ class Mismatch(FrozenRecord):
 
 
 class VerifyReport(Record):
-    __slots__ = (
-        "p_max", "paths_compared", "mismatches", "op_count_ok", "identity_tallies")
+    __slots__ = ("p_max", "mismatches", "op_count_ok", "identity_tallies")
     p_max: int
-    paths_compared: tuple[str, ...]
     mismatches: tuple[Mismatch, ...]
     op_count_ok: tuple[bool, ...]  # indexed by p = 0..p_max
     identity_tallies: dict[str, tuple[int, int]]  # label -> (checked, failed)
@@ -163,13 +161,11 @@ class VerifyReport(Record):
     def __init__(
         self,
         p_max: int,
-        paths_compared: tuple[str, ...],
         mismatches: tuple[Mismatch, ...],
         op_count_ok: tuple[bool, ...],
         identity_tallies: dict[str, tuple[int, int]],
     ) -> None:
         self.p_max = p_max
-        self.paths_compared = paths_compared
         self.mismatches = mismatches
         self.op_count_ok = op_count_ok
         self.identity_tallies = identity_tallies
@@ -185,8 +181,8 @@ class VerifyReport(Record):
     def render(self) -> str:
         lines = ["cross-verification report"]
         lines.append(f"  degrees:      p = 0..{self.p_max}")
-        lines.append(f"  paths:        {', '.join(self.paths_compared)}")
-        pairs = len(self.paths_compared) * (len(self.paths_compared) - 1) // 2
+        lines.append(f"  paths:        {', '.join(METHODS)}")
+        pairs = len(METHODS) * (len(METHODS) - 1) // 2
         if self.mismatches:
             lines.append(f"  row equality: {len(self.mismatches)} mismatch(es)")
             for m in self.mismatches:
@@ -293,7 +289,6 @@ def run_verification(p_max: int) -> VerifyReport:
 
     return VerifyReport(
         p_max=p_max,
-        paths_compared=tuple(METHODS),
         mismatches=tuple(mismatches),
         op_count_ok=tuple(op_count_ok),
         identity_tallies=_identity_tallies(),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rationals import ONE, ZERO, CoefficientRow, OpCounter, rat_add, rat_mul, rat_sub
+from .rationals import ONE, ZERO, CoefficientRow, OpCounter, rat_add, rat_mul, rat_sub, start_row
 
 __all__ = ["direct_coefficients"]
 
@@ -48,11 +48,7 @@ def direct_coefficients(
     start: from [1], exactly p(p+1)/2 + p additions/subtractions and
     p(p+1)/2 multiplications.
     """
-    if p < 0:
-        raise ValueError(f"exponent must be >= 0, got {p}")
-    start = start or CoefficientRow(0, (ONE,))
-    if start.degree > p:
-        raise ValueError(f"cannot continue to degree {p} from degree {start.degree}")
+    start = start_row(p, start)
     row = list(start.coefficients)
     for i in range(start.degree + 1, p + 1):
         _advance(row, i, counter)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .rationals import ONE, ZERO, CoefficientRow, scaled
+from .rationals import ZERO, CoefficientRow, scaled, start_row
 
 __all__ = [
     "integration_coefficients",
@@ -75,11 +75,7 @@ def integration_coefficients(p: int, start: CoefficientRow | None = None) -> Coe
     after it.  Then drops the constant coefficient, which a correct run
     leaves exactly zero.
     """
-    if p < 0:
-        raise ValueError(f"exponent must be >= 0, got {p}")
-    start = start or CoefficientRow(0, (ONE,))
-    if start.degree > p:
-        raise ValueError(f"cannot continue to degree {p} from degree {start.degree}")
+    start = start_row(p, start)
     f = scaled((ZERO, *start.coefficients))
     for i in range(start.degree + 1, p + 1):
         f = integration_step(f, i)

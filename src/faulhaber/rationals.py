@@ -5,8 +5,8 @@ reduced, with `int` numerator and denominator and no floating point.  The
 paths and the oracle import only this module, so none of them loads
 another's arithmetic.  It holds:
 
-- the record bases `Record` and `FrozenRecord`, and the `CoefficientRow`
-  every path returns;
+- the record bases `Record` and `FrozenRecord`, the `CoefficientRow`
+  every path returns, and `start_row`, the row both recurrences resume from;
 - dense polynomials: tuples of rationals, ascending by power, with
   trailing zeros trimmed (the zero polynomial is the empty tuple), with
   exact evaluation and integration;
@@ -68,7 +68,7 @@ class Record:
 
 class FrozenRecord(Record):
     """A record whose fields are set once, by `__init__`, and never again.
-    Hashable, so a cached instance can be handed to every caller."""
+    Hashable by value: the rows and tables passed from call to call stay fixed."""
 
     __slots__ = ()
 
@@ -164,6 +164,17 @@ class CoefficientRow(FrozenRecord):
                 f"power {power} outside 1..{self.degree + 1} for degree {self.degree}"
             )
         return self.coefficients[power - 1]
+
+
+def start_row(p: int, start: CoefficientRow | None) -> CoefficientRow:
+    """The row a recurrence walks up from to reach degree p: `start`, a row
+    of degree at most p, or the degree-0 row [1] (f_0(n) = n)."""
+    if p < 0:
+        raise ValueError(f"exponent must be >= 0, got {p}")
+    start = start or CoefficientRow(0, (ONE,))
+    if start.degree > p:
+        raise ValueError(f"cannot continue to degree {p} from degree {start.degree}")
+    return start
 
 
 Polynomial = tuple[Fraction, ...]

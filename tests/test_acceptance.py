@@ -207,4 +207,11 @@ def test_c10_lemma_rows_exact_against_bernoulli_within_budget():
     assert elapsed < 1.0
     assert rows[0] == faulhaber_via_bernoulli(700)
     assert all(type(c) is Fraction for c in rows[0].coefficients)
-    report("10. lemma rows equal Bernoulli rows for p<=400 and p=700, p=700 under 1 s")
+    # At p = 1000 the lemma row took about 1.2 s and the Bernoulli row
+    # 0.15 s (Python 3.11.7, 2 cores): a 3 s budget for both.
+    start = time.perf_counter()
+    assert integration_coefficients(1000) == faulhaber_via_bernoulli(1000)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3.0
+    report("10. lemma rows equal Bernoulli rows for p<=400, p=700 and p=1000, "
+           "p=700 under 1 s, p=1000 with its Bernoulli row under 3 s")

@@ -87,11 +87,12 @@ def test_tables_do_not_depend_on_request_order(limits):
 
 
 def test_denominators_follow_von_staudt_clausen():
-    table = bernoulli_numbers(400)
-    for index in range(2, 401, 2):
-        primes = [q for q in range(2, index + 2)
-                  if all(q % d for d in range(2, isqrt(q) + 1)) and index % (q - 1) == 0]
-        assert table.values_minus[index].denominator == prod(primes)
+    # The denominator of B_2k is the product of the primes q with (q - 1) | 2k.
+    table = bernoulli_numbers(1000)
+    primes = [q for q in range(2, 1002) if all(q % d for d in range(2, isqrt(q) + 1))]
+    for index in range(2, 1001, 2):
+        divisors = [q for q in primes if index % (q - 1) == 0]
+        assert table.values_minus[index].denominator == prod(divisors)
 
 
 def test_negative_limit_rejected():

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 import faulhaber.bernoulli
-import faulhaber.direct
 import faulhaber.integration
 from faulhaber import CoefficientRow
 from faulhaber import cli
@@ -313,19 +312,19 @@ def test_identity_phase_builds_one_table_and_each_polynomial_once(monkeypatch):
 
 
 def test_verify_builds_each_direct_row_once(monkeypatch):
-    # The counted pass builds rows 1..40, one `_advance` each, and the
-    # comparisons use its rows.
-    advances = []
-    genuine = faulhaber.direct._advance
+    # The counted pass continues each row from the one before, so the degrees
+    # its calls advance sum to p_max, and the comparisons use its rows.
+    advanced = []
+    genuine = cli.direct_coefficients
 
-    def counted(row, i, counter):
-        advances.append(i)
-        genuine(row, i, counter)
+    def counted(p, counter=None, start=None):
+        advanced.append(p - (0 if start is None else start.degree))
+        return genuine(p, counter, start)
 
-    monkeypatch.setattr(faulhaber.direct, "_advance", counted)
+    monkeypatch.setattr(cli, "direct_coefficients", counted)
     report = cli.run_verification(40)
     assert report.passed
-    assert advances == list(range(1, 41))
+    assert len(advanced) == 41 and sum(advanced) == 40
 
 
 def test_verify_carries_the_lemma_row_and_reads_one_table(monkeypatch):

@@ -1,11 +1,13 @@
 """The README's examples stay true: every `$ faulhaber ...` line prints
-exactly the text shown under it, and the library block runs."""
+exactly the text shown under it, the library block runs, and the "Library"
+section lists exactly the exported names."""
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import faulhaber
 from faulhaber import cli
 
 README_PATH = Path(__file__).resolve().parents[1] / "README.md"
@@ -47,3 +49,10 @@ def test_cli_example_output(capsys, argv, expected):
 def test_library_example_runs():
     (code,) = [body for language, body in BLOCKS if language == "python"]
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_library_section_lists_exactly_the_exported_names():
+    section = README.split("\n## Library\n")[1].split("\n## ")[0]
+    listed = re.findall(r"^- `\w+`: (.*?)\.$", section, re.MULTILINE | re.DOTALL)
+    names = re.findall(r"`(\w+)`", " ".join(listed))
+    assert sorted(names) == sorted(faulhaber.__all__)

@@ -1,6 +1,6 @@
 """The package's five record classes: constructors by position and keyword,
 equality within one class, immutability and hashing of the three frozen
-ones, and `CoefficientRow`'s validation."""
+ones, and the validation of `CoefficientRow` and `BernoulliTable`."""
 import copy
 import pickle
 from fractions import Fraction
@@ -21,7 +21,6 @@ FIELDS = {
     OpCounter: {"additions": 54, "multiplications": 45},
     VerifyReport: {
         "p_max": 0,
-        "paths_compared": ("direct", "lemma"),
         "mismatches": (),
         "op_count_ok": (True,),
         "identity_tallies": {"power-sum identity": (600, 0)},
@@ -63,6 +62,8 @@ def test_one_different_field_breaks_equality(cls):
     fields[first] = 1 if fields[first] == 0 else 0
     if cls is CoefficientRow:  # keep the row valid
         fields["coefficients"] = (F(1),)
+    if cls is BernoulliTable:  # keep the table valid
+        fields["values_minus"] = fields["values_plus"] = (F(1),)
     assert cls(**fields) != build(cls)
 
 
@@ -111,13 +112,18 @@ def test_op_counter_starts_at_zero():
 
 
 @pytest.mark.parametrize(
-    "degree, coefficients, message",
+    "cls, fields, message",
     [
-        (-1, (), "degree must be >= 0, got -1"),
-        (2, (F(1),), "a row of degree 2 holds 3 coefficients, got 1"),
+        (CoefficientRow, (-1, ()), "degree must be >= 0, got -1"),
+        (CoefficientRow, (2, (F(1),)), "a row of degree 2 holds 3 coefficients, got 1"),
+        (BernoulliTable, (10, (F(1), F(-1, 2)), (F(1), F(1, 2))),
+         "a table through b_10 holds 11 numbers per convention, got 2 and 2"),
+        (BernoulliTable, (1, (F(1), F(-1, 2)), (F(1),)),
+         "a table through b_1 holds 2 numbers per convention, got 2 and 1"),
     ],
+    ids=["row-negative-degree", "row-too-short", "table-too-short", "table-conventions-differ"],
 )
-def test_coefficient_row_rejects_malformed_rows(degree, coefficients, message):
+def test_records_reject_malformed_fields(cls, fields, message):
     with pytest.raises(ValueError) as excinfo:
-        CoefficientRow(degree, coefficients)
+        cls(*fields)
     assert str(excinfo.value) == message
