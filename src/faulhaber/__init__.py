@@ -6,8 +6,9 @@ integration recurrence (`integration`), and the classical Bernoulli-number
 formula (`bernoulli`) — and can be cross-verified against each other and
 against brute-force sums (`oracle`).  The two recurrences are separate code
 for the same arithmetic; the Bernoulli formula shares none with them.  The
-paths and the oracle share only the plumbing of `rationals`: the records,
-the polynomials and the counted operations.
+paths and the oracle share only the plumbing of `rationals`: the records
+and the polynomials.  The paper's operation counts belong to the direct
+recurrence, so `direct` also holds `OpCounter`, the tally it keeps.
 All arithmetic is exact rational; there is no floating point.
 
 The package exports the `__all__` of each of these modules.

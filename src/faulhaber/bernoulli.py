@@ -76,6 +76,13 @@ class BernoulliTable(FrozenRecord):
                 f"a table through b_{limit} holds {limit + 1} numbers per "
                 f"convention, got {len(values_minus)} and {len(values_plus)}"
             )
+        for k, (b_minus, b_plus) in enumerate(zip(values_minus, values_plus)):
+            expected = (Fraction(-1, 2), Fraction(1, 2)) if k == 1 else (b_minus, b_minus)
+            if (b_minus, b_plus) != expected:
+                raise ValueError(
+                    "the conventions differ only in b_1 = -1/2 and +1/2, "
+                    f"got b_{k} = {b_minus} and {b_plus}"
+                )
         super().__init__(limit, values_minus, values_plus)
 
 

@@ -30,10 +30,10 @@ from .bernoulli import (
     check_power_sum_identity,
     faulhaber_via_bernoulli,
 )
-from .direct import direct_coefficients
+from .direct import OpCounter, direct_coefficients
 from .integration import integration_coefficients
 from .oracle import evaluate_row, power_sum_bruteforce
-from .rationals import CoefficientRow, FrozenRecord, OpCounter, Record
+from .rationals import CoefficientRow, FrozenRecord, Record
 
 __all__ = [
     "METHODS",
@@ -320,11 +320,12 @@ def _clip(text: str) -> str:  # an echoed value may be megabytes long
 
 
 def _natural(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {_clip(repr(text))}") from None
+    # An optional "-" and ASCII digits only: int() would also take "+3",
+    # " 4", "1_0" and non-ASCII digits.
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {_clip(repr(text))}")
+    value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a value >= 0, got {_clip(str(value))}")
     return value

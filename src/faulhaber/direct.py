@@ -1,4 +1,4 @@
-"""Direct row-by-row computation of Faulhaber coefficients.
+"""Direct row-by-row computation of Faulhaber coefficients, and its cost model.
 
 The power sum f_p(n) = 1^p + ... + n^p equals a polynomial
 a_1 n + ... + a_{p+1} n^{p+1}.  Its coefficients are built one degree at a
@@ -11,30 +11,55 @@ highest power downward, so each slot is overwritten strictly after the
 slot below it has been consumed.  The module keeps no state: a caller
 walking the degrees upward passes the row it holds back in as `start`, and
 pays for each step once.
+
+The paper's cost model counts the rational operations of this recurrence:
+from [1] to degree p, p(p+1)/2 multiplications and p(p+1)/2 + p
+additions/subtractions.  `OpCounter` holds that tally; the benchmark and
+verification commands check it against the formulas.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .rationals import ONE, ZERO, CoefficientRow, OpCounter, rat_add, rat_mul, rat_sub, start_row
+from .rationals import ONE, ZERO, CoefficientRow, Record, start_row
 
-__all__ = ["direct_coefficients"]
+__all__ = ["OpCounter", "direct_coefficients"]
+
+
+class OpCounter(Record):
+    """Running tally of the direct recurrence's rational operations.
+
+    Subtractions count toward `additions`.  Loop-index bookkeeping,
+    assignments, and forming a ratio like i/j from two integer counters are
+    free under this cost model.
+    """
+
+    __slots__ = ("additions", "multiplications")
+    additions: int
+    multiplications: int
+
+    def __init__(self, additions: int = 0, multiplications: int = 0) -> None:
+        self.additions = additions
+        self.multiplications = multiplications
 
 
 def _advance(row: list[Fraction], i: int, counter: OpCounter | None) -> None:
     """Turn the length-i row for degree i-1 into the row for degree i, in place.
 
     j runs downward so row[j - 2] is still the previous row's entry when
-    read.  The ratio i/j is formed once per slot and applied with a single
-    counted multiplication; the running sum and the final 1 - s are the
-    counted additions.
+    read.  Step i costs i multiplications (one per slot j = i+1..2) and
+    i + 1 additions/subtractions (i into the running sum, then 1 - s); a
+    counter gains both once per step.
     """
     row.append(ZERO)
     s = ZERO
     for j in range(i + 1, 1, -1):
-        row[j - 1] = rat_mul(Fraction(i, j), row[j - 2], counter)
-        s = rat_add(s, row[j - 1], counter)
-    row[0] = rat_sub(ONE, s, counter)
+        row[j - 1] = term = Fraction(i, j) * row[j - 2]
+        s += term
+    row[0] = ONE - s
+    if counter is not None:
+        counter.additions += i + 1
+        counter.multiplications += i
 
 
 def direct_coefficients(

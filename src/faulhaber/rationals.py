@@ -1,4 +1,4 @@
-"""The plumbing every computation path shares, and the direct path's cost model.
+"""The plumbing every computation path shares.
 
 Every coefficient in this package is a plain `fractions.Fraction`: exact,
 reduced, with `int` numerator and denominator and no floating point.  The
@@ -9,14 +9,7 @@ another's arithmetic.  It holds:
   every path returns, and `start_row`, the row both recurrences resume from;
 - dense polynomials: tuples of rationals, ascending by power, with
   trailing zeros trimmed (the zero polynomial is the empty tuple), with
-  exact evaluation and integration;
-- the counted cost model the paper states for the direct recurrence and
-  that the benchmark and verification commands check.
-
-`OpCounter` tallies additions/subtractions and multiplications performed
-*on rationals*.  Counting is opt-in: a counter is passed explicitly into
-`rat_add`, `rat_sub` and `rat_mul` by the one computation that owns it;
-plain `Fraction` operator arithmetic stays uncounted.
+  exact evaluation and integration.
 """
 from __future__ import annotations
 
@@ -26,10 +19,6 @@ from math import lcm
 __all__ = [
     "ZERO",
     "ONE",
-    "OpCounter",
-    "rat_add",
-    "rat_sub",
-    "rat_mul",
     "CoefficientRow",
     "Polynomial",
     "poly_eval",
@@ -91,41 +80,14 @@ class FrozenRecord(Record):
         return type(self), self._fields()
 
 
-class OpCounter(Record):
-    """Running tally of counted rational operations.
-
-    Subtractions count toward `additions`.  Loop-index bookkeeping,
-    assignments, and forming a ratio like i/j from two integer counters are
-    free under this cost model.
-    """
-
-    __slots__ = ("additions", "multiplications")
-    additions: int
-    multiplications: int
-
-    def __init__(self, additions: int = 0, multiplications: int = 0) -> None:
-        self.additions = additions
-        self.multiplications = multiplications
-
-
-def rat_add(a: Fraction, b: Fraction, counter: OpCounter | None = None) -> Fraction:
-    """Exact sum, tallied as one addition when a counter is attached."""
-    if counter is not None:
-        counter.additions += 1
+# No package code calls these two.  They stay only because
+# `perfbench/tracer.py` times them for its `rationals.add_s`/`mul_s` probe,
+# and go when that probe is reworked.
+def rat_add(a: Fraction, b: Fraction) -> Fraction:
     return a + b
 
 
-def rat_sub(a: Fraction, b: Fraction, counter: OpCounter | None = None) -> Fraction:
-    """Exact difference; subtractions share the additions tally."""
-    if counter is not None:
-        counter.additions += 1
-    return a - b
-
-
-def rat_mul(a: Fraction, b: Fraction, counter: OpCounter | None = None) -> Fraction:
-    """Exact product, tallied as one multiplication when counted."""
-    if counter is not None:
-        counter.multiplications += 1
+def rat_mul(a: Fraction, b: Fraction) -> Fraction:
     return a * b
 
 

@@ -125,11 +125,13 @@ def test_closed_formula_rows_read_the_table_passed():
     for p in range(121):
         assert faulhaber_via_bernoulli(p, table) == faulhaber_via_bernoulli(p)
     # The row is read from the table given, not from one built afresh:
-    # shifting b_2 by 1 shifts the coefficient of n^5 in row 6 by C(7, 2)/7.
+    # shifting b_2 by 1 (in both conventions, which agree past b_1) shifts
+    # the coefficient of n^5 in row 6 by C(7, 2)/7.
     table = bernoulli_numbers(6)
-    plus = list(table.values_plus)
+    minus, plus = list(table.values_minus), list(table.values_plus)
+    minus[2] += 1
     plus[2] += 1
-    shifted = BernoulliTable(6, table.values_minus, tuple(plus))
+    shifted = BernoulliTable(6, tuple(minus), tuple(plus))
     expected = list(faulhaber_via_bernoulli(6).coefficients)
     expected[4] += F(comb(7, 2), 7)
     assert faulhaber_via_bernoulli(6, shifted).coefficients == tuple(expected)

@@ -156,6 +156,12 @@ def test_overlong_non_integer_is_echoed_in_short(capsys, default_digit_limit):
         ("coeffs", "2.5"),
         ("coeffs", "2", "--format", "xml"),
         ("nonsense",),
+        # int() takes these; the CLI's grammar is an optional "-" and ASCII digits.
+        ("coeffs", "1_0"),
+        ("coeffs", "+3"),
+        ("coeffs", " 4"),
+        ("coeffs", "\u0663"),  # ARABIC-INDIC DIGIT THREE
+        ("eval", "2", "1_000"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -1,7 +1,11 @@
 """The public surface: every exported name resolves, the package re-exports
-each library module's `__all__`, and a star import binds exactly that."""
+each library module's `__all__`, a star import binds exactly that, and every
+exported name has a use."""
+import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +40,26 @@ def test_star_import_binds_exactly_all():
     exec("from faulhaber import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(faulhaber.__all__)
+
+
+def loaded_names(source):
+    """The names `source` reads: each `ast.Name` in load context, the names
+    in annotations included."""
+    return {
+        node.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_exported_name_has_a_use():
+    # An exported name earns its place by a caller in the package or a use
+    # in the README's library example.
+    package = Path(faulhaber.__file__).resolve().parent
+    used = set()
+    for path in package.glob("*.py"):
+        used |= loaded_names(path.read_text(encoding="utf-8"))
+    readme = (package.parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    used |= loaded_names(example)
+    assert [name for name in faulhaber.__all__ if name not in used] == []

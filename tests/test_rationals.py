@@ -1,10 +1,11 @@
-"""The counted cost model: exact `rat_*` arithmetic and its `OpCounter` tallies."""
+"""`rat_add` and `rat_mul`, the two operations the benchmark's rational
+probe times, are exact `Fraction` arithmetic."""
 from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from faulhaber import OpCounter, rat_add, rat_mul, rat_sub
+from faulhaber.rationals import rat_add, rat_mul
 
 
 def test_add_examples():
@@ -18,22 +19,6 @@ def test_mul_examples():
     assert rat_mul(Fraction(2, 3), Fraction(1, 2)) == Fraction(1, 3)
     assert rat_mul(Fraction(-5, 7), Fraction(1)) == Fraction(-5, 7)
     assert rat_mul(Fraction(3), Fraction(1, 6)) == Fraction(1, 2)
-
-
-def test_counter_tallies_each_counted_operation():
-    counter = OpCounter()
-    rat_add(Fraction(1), Fraction(2), counter)
-    rat_sub(Fraction(1), Fraction(2), counter)  # shares the additions tally
-    rat_mul(Fraction(1), Fraction(2), counter)
-    assert counter.additions == 2
-    assert counter.multiplications == 1
-
-
-def test_operations_without_counter_are_uncounted():
-    counter = OpCounter()
-    rat_add(Fraction(1), Fraction(2))
-    rat_mul(Fraction(1), Fraction(2))
-    assert counter == OpCounter(0, 0)
 
 
 @given(st.fractions(), st.fractions())

@@ -120,8 +120,13 @@ def test_op_counter_starts_at_zero():
          "a table through b_10 holds 11 numbers per convention, got 2 and 2"),
         (BernoulliTable, (1, (F(1), F(-1, 2)), (F(1),)),
          "a table through b_1 holds 2 numbers per convention, got 2 and 1"),
+        (BernoulliTable, (1, (F(1), F(-1, 2)), (F(1), F(-1, 2))),
+         "the conventions differ only in b_1 = -1/2 and +1/2, got b_1 = -1/2 and -1/2"),
+        (BernoulliTable, (2, (F(1), F(-1, 2), F(1, 6)), (F(1), F(1, 2), F(7, 6))),
+         "the conventions differ only in b_1 = -1/2 and +1/2, got b_2 = 1/6 and 7/6"),
     ],
-    ids=["row-negative-degree", "row-too-short", "table-too-short", "table-conventions-differ"],
+    ids=["row-negative-degree", "row-too-short", "table-too-short", "table-conventions-differ",
+         "table-b1-conflated", "table-conventions-disagree-past-b1"],
 )
 def test_records_reject_malformed_fields(cls, fields, message):
     with pytest.raises(ValueError) as excinfo:
