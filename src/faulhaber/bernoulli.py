@@ -15,31 +15,24 @@ Each `bernoulli_numbers` call builds its own table, and the closed formula
 and the polynomials read the table their caller passes, so the module keeps
 no state between calls.
 
-The three check_* functions evaluate, in exact arithmetic, the textbook
-identities tying power sums to Bernoulli polynomials; the verification
-command runs them over fixed ranges.  They compare integers only: one
-`IdentityValues`, built per run of the checks and passed to each, holds
-every polynomial scaled to its common denominator and gives its value at
-each point once, from `horner`, as an integer over a positive denominator
-(d itself at an integer point); each identity is cross-multiplied by its
-denominators, so no check builds a Fraction.
+A Bernoulli polynomial is dense: a tuple of `Fraction`s ascending by
+power, its top coefficient nonzero.  The three check_* functions evaluate,
+in exact arithmetic, the textbook identities tying power sums to Bernoulli
+polynomials; the verification command runs them over fixed ranges.  They
+compare integers only: one `IdentityValues`, built per run of the checks
+and passed to each, holds every polynomial and its antiderivative scaled
+to its common denominator and gives its value at each point once, from
+`horner`, as an integer over a positive denominator (d itself at an
+integer point); each identity is cross-multiplied by its denominators, so
+no check builds a Fraction.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .oracle import power_sum_bruteforce
-from .rationals import (
-    ONE,
-    ZERO,
-    CoefficientRow,
-    FrozenRecord,
-    Polynomial,
-    horner,
-    integrate_polynomial,
-    scaled,
-)
+from .rationals import ONE, ZERO, CoefficientRow, FrozenRecord, horner
 
 __all__ = [
     "BernoulliTable",
@@ -129,16 +122,28 @@ def faulhaber_via_bernoulli(p: int, table: BernoulliTable | None = None) -> Coef
     table = table or bernoulli_numbers(p)
     if table.limit < p:
         raise ValueError(f"a table through b_{table.limit} cannot give the row of degree {p}")
-    # The odd i >= 3, where b_i = 0, keep their ZERO.  Every other entry is
-    # one Fraction built from integers, reduced by a single gcd.
-    coeffs: list[Fraction] = [ZERO] * (p + 1)
-    for i, b in enumerate(table.values_plus[: p + 1]):
+    # Each entry C(p+1, i) * num(b_i) / (den(b_i) * (p+1)) is reduced on its
+    # small denominator: first against C(p+1, i), walked within the row as
+    # C(p+1, i+1) = C(p+1, i) * (p+1-i) / (i+1), then against num(b_i).  The
+    # odd i >= 3, where b_i = 0, stay 0 over 1.  Nothing carries over from
+    # another degree: that would turn this path into the direct recurrence.
+    q = p + 1
+    numerators, denominators = [0] * q, [1] * q
+    binomial = 1
+    for i, b in enumerate(table.values_plus[:q]):
         if b:
-            coeffs[p - i] = Fraction(comb(p + 1, i) * b.numerator, b.denominator * (p + 1))
-    return CoefficientRow(p, tuple(coeffs))
+            num, den = b.as_integer_ratio()
+            g = gcd(binomial, den * q)
+            c, den = binomial // g, den * q // g
+            g = gcd(num, den)
+            numerators[p - i], denominators[p - i] = c * (num // g), den // g
+        binomial = binomial * (q - i) // (i + 1)
+    d = lcm(*denominators)
+    return CoefficientRow.from_scaled(
+        tuple(c * (d // den) for c, den in zip(numerators, denominators)), d)
 
 
-def bernoulli_polynomial(i: int, table: BernoulliTable | None = None) -> Polynomial:
+def bernoulli_polynomial(i: int, table: BernoulliTable | None = None) -> tuple[Fraction, ...]:
     """The i-th Bernoulli polynomial B_i(t) = sum_k C(i, k) * b_k * t^(i-k).
 
     Built from the minus convention, so B_i(0) is the minus-convention
@@ -155,6 +160,24 @@ def bernoulli_polynomial(i: int, table: BernoulliTable | None = None) -> Polynom
     # C(i, 0) * b_0 = 1, so there is no trailing zero to trim.
     return tuple(Fraction(comb(i, k) * minus[k].numerator, minus[k].denominator)
                  for k in range(i, -1, -1))
+
+
+def _integrate_polynomial(f: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    """Antiderivative with zero constant term: c_k t^k maps to c_k/(k+1) t^(k+1)."""
+    if not f:
+        return ()
+    # From integers: Fraction(c, k + 1) of a Fraction c takes the slow
+    # numbers.Rational path.
+    return (ZERO,) + tuple(
+        Fraction(c.numerator, c.denominator * (k + 1)) for k, c in enumerate(f))
+
+
+def _scaled(f: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
+    """f over its common denominator: (numerators, d) with d the least
+    common multiple of the coefficient denominators and numerators[k] the
+    integer d * c_k, so f(t) = sum_k numerators[k] t^k / d."""
+    d = lcm(*(c.denominator for c in f))
+    return tuple(c.numerator * (d // c.denominator) for c in f), d
 
 
 class IdentityValues:
@@ -174,8 +197,8 @@ class IdentityValues:
         self.limit = limit
         # Through the module global, which a tracer or a test may wrap.
         self.polynomials = tuple(bernoulli_polynomial(i, table) for i in range(limit + 1))
-        self.antiderivatives = tuple(map(integrate_polynomial, self.polynomials))
-        self._forms = tuple(tuple(map(scaled, polynomials))
+        self.antiderivatives = tuple(map(_integrate_polynomial, self.polynomials))
+        self._forms = tuple(tuple(map(_scaled, polynomials))
                             for polynomials in (self.polynomials, self.antiderivatives))
         self._values: dict[tuple[bool, int, int, int], tuple[int, int]] = {}
 

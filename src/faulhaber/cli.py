@@ -213,7 +213,7 @@ class VerifyReport(Record):
 
 def _first_difference(a: CoefficientRow, b: CoefficientRow) -> int | None:
     """1-based power of the first differing coefficient, or None if equal."""
-    if a.coefficients == b.coefficients:  # the usual case: no loop in Python
+    if a == b:  # the usual case: the canonical pairs compare as ints
         return None
     for j, (ca, cb) in enumerate(zip(a.coefficients, b.coefficients), start=1):
         if ca != cb:
@@ -321,14 +321,15 @@ def _clip(text: str) -> str:  # an echoed value may be megabytes long
 
 def _natural(text: str) -> int:
     # An optional "-" and ASCII digits only: int() would also take "+3",
-    # " 4", "1_0" and non-ASCII digits.
-    digits = text[1:] if text.startswith("-") else text
+    # " 4", "1_0" and non-ASCII digits.  A "-" makes any value, "-0"
+    # included, one below 0.
+    negative = text.startswith("-")
+    digits = text[1:] if negative else text
     if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"expected an integer, got {_clip(repr(text))}")
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a value >= 0, got {_clip(str(value))}")
-    return value
+    if negative:
+        raise argparse.ArgumentTypeError(f"expected a value >= 0, got {_clip(text)}")
+    return int(text)
 
 
 def _positive(text: str) -> int:

@@ -77,4 +77,7 @@ def direct_coefficients(
     row = list(start.coefficients)
     for i in range(start.degree + 1, p + 1):
         _advance(row, i, counter)
+    # The constructor puts the row over its common denominator once, and
+    # the row keeps these Fractions: a caller continuing from it, as
+    # `verify` and `bench` do, rebuilds none from the pair.
     return CoefficientRow(p, tuple(row))

@@ -12,17 +12,16 @@ is the antiderivative evaluated at 1.  Term by term this is the direct
 recurrence (the coefficient of n^(k+1) is p * c_k / (k+1), the linear one
 1 minus the rest), computed by separate code in another order.
 
-Between steps a polynomial is held on integers, in the scaled form of
-`rationals.scaled`: a pair (numerators, d) of ints with d > 0 and
-gcd(d, *numerators) == 1, so f(n) = sum_k numerators[k] n^k / d.  A step
+A polynomial is held on integers, in the form of `CoefficientRow`: a pair
+(numerators, d) of ints with d > 0 and gcd(d, *numerators) == 1, so
+f(n) = sum_k numerators[k] n^k / d.  The path starts from the pair of the
+row it continues, with a 0 prepended for the constant term; a step
 integrates and scales on those integers, puts the whole row over one
-common denominator and reduces it by one gcd; a `Fraction` is built once
-per entry of the returned row, at the end.  Normalising every entry as a
-`Fraction` at every step would cost a gcd per slot on numerators of
-thousands of bits, although the row's reduced denominator stays small.
-The integration here is its own, on the integers; the `Fraction`
-antiderivative `rationals.integrate_polynomial` serves only
-`bernoulli.IdentityValues`.
+common denominator and reduces it by one gcd; the last pair, its zero
+constant term dropped, is the row returned.  No step builds a `Fraction`:
+normalising every entry as a `Fraction` at every step would cost a gcd per
+slot on numerators of thousands of bits, although the row's reduced
+denominator stays small.
 
 This module keeps no state: a caller walking the degrees upward passes the
 row it holds back in.  It does not participate in the operation-count cost
@@ -33,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .rationals import ZERO, CoefficientRow, scaled, start_row
+from .rationals import CoefficientRow, start_row
 
 __all__ = [
     "integration_coefficients",
@@ -45,7 +44,7 @@ Scaled = tuple[tuple[int, ...], int]
 def integration_step(f_prev: Scaled, p: int) -> Scaled:
     """One recurrence step: the power-sum polynomial of degree p + 1 from
     the one of degree p (f_prev represents f_{p-1}, a nonzero polynomial),
-    both in scaled form.
+    both as (numerators, d) pairs.
 
     Computes p * F plus the linear correction (1 - p * F(1)) * n, where F
     is the antiderivative of f_prev with zero constant.  The entry
@@ -72,29 +71,18 @@ def integration_coefficients(p: int, start: CoefficientRow | None = None) -> Coe
 
     Starts from f_0(n) = n, or from the power-sum polynomial of `start`, a
     row of degree at most p, and applies integration_step once per degree
-    after it.  Then drops the constant coefficient, which a correct run
-    leaves exactly zero.
+    after it.  Then drops the constant coefficient, and fails loudly if it
+    is not zero: power sums have none, so one means the computation that
+    produced it is broken.
     """
     start = start_row(p, start)
-    f = scaled((ZERO, *start.coefficients))
+    f = (0, *start.numerators), start.denominator
     for i in range(start.degree + 1, p + 1):
         f = integration_step(f, i)
-    return _to_row(f)
-
-
-def _to_row(f: Scaled) -> CoefficientRow:
-    """Convert a power-sum polynomial in scaled form to its coefficient row
-    of reduced `Fraction`s.
-
-    Fails loudly on a nonzero constant coefficient: power sums have none,
-    so its presence means the computation that produced f is broken.
-    """
     numerators, d = f
-    if len(numerators) < 2:
-        raise ValueError(f"not a power-sum polynomial (degree too low): {f!r}")
     if numerators[0] != 0:
         raise ValueError(
             f"power-sum polynomial has nonzero constant coefficient "
             f"{Fraction(numerators[0], d)}; refusing to drop it"
         )
-    return CoefficientRow(len(numerators) - 2, tuple(Fraction(c, d) for c in numerators[1:]))
+    return CoefficientRow.from_scaled(numerators[1:], d)

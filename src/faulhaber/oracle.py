@@ -2,14 +2,15 @@
 and exact evaluation of a coefficient row.
 
 Every equivalence test in the package bottoms out here — no closed forms,
-no shortcuts.  A row is evaluated through `rationals.poly_eval`, the
-integer Horner scheme the Bernoulli identity checks use too.
+no shortcuts.  A row is evaluated on its own integer numerators and
+denominator by `rationals.horner`, the integer Horner scheme the Bernoulli
+identity checks use too.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .rationals import CoefficientRow, poly_eval
+from .rationals import CoefficientRow, horner
 
 __all__ = ["power_sum_bruteforce", "evaluate_row"]
 
@@ -31,4 +32,5 @@ def evaluate_row(row: CoefficientRow, n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError(f"rows are evaluated at n >= 1, got {n}")
-    return n * poly_eval(row.coefficients, n)
+    value, d = horner(row.numerators, row.denominator, n)
+    return Fraction(n * value, d)

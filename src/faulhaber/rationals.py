@@ -1,15 +1,15 @@
 """The plumbing every computation path shares.
 
-Every coefficient in this package is a plain `fractions.Fraction`: exact,
-reduced, with `int` numerator and denominator and no floating point.  The
-paths and the oracle import only this module, so none of them loads
-another's arithmetic.  It holds:
+Every coefficient in this package is exact and rational, with no floating
+point.  A `CoefficientRow` holds its entries as integer numerators over
+one common denominator, reduced, and gives them as plain reduced
+`fractions.Fraction`s on demand.  The paths and the oracle import only
+this module, so none of them loads another's arithmetic.  It holds:
 
 - the record bases `Record` and `FrozenRecord`, the `CoefficientRow`
   every path returns, and `start_row`, the row both recurrences resume from;
-- dense polynomials: tuples of rationals, ascending by power, with
-  trailing zeros trimmed (the zero polynomial is the empty tuple), with
-  exact evaluation and integration.
+- `horner`, the exact value of a polynomial held as integers over one
+  denominator, which the oracle and the Bernoulli identity checks share.
 """
 from __future__ import annotations
 
@@ -20,9 +20,6 @@ __all__ = [
     "ZERO",
     "ONE",
     "CoefficientRow",
-    "Polynomial",
-    "poly_eval",
-    "integrate_polynomial",
 ]
 
 ZERO = Fraction(0)
@@ -98,6 +95,16 @@ class CoefficientRow(FrozenRecord):
     The constant term of a power-sum polynomial is always zero and is not
     stored; emitters that need it synthesize a literal zero.
 
+    A row is held as integers over one denominator: `numerators[j - 1]` is
+    `denominator * a_j`, with `denominator` the least common multiple of the
+    entries' denominators, so `denominator > 0` and
+    `gcd(denominator, *numerators) == 1`.  That form is canonical: two rows
+    are equal, and hash alike, exactly when their degrees and pairs are,
+    and comparing them compares ints.  The paths build rows from their pair
+    with `from_scaled`; the public constructor takes the coefficients and
+    keeps the tuple it is given.  A row built from its pair builds its
+    tuple of reduced `Fraction`s the first time `coefficients` is read.
+
     Rows produced by any of the computation paths satisfy: the entries sum
     to 1, the top entry is 1/(p+1), the entry of n^p is 1/2 for p >= 1, and
     the entry of n^(p-2) is 0 for p >= 3.  Those are theorems checked by
@@ -105,9 +112,10 @@ class CoefficientRow(FrozenRecord):
     corrupted rows can be built when exercising mismatch detection.
     """
 
-    __slots__ = ("degree", "coefficients")
+    __slots__ = ("degree", "numerators", "denominator", "_coefficients")
     degree: int
-    coefficients: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
     def __init__(self, degree: int, coefficients: tuple[Fraction, ...]) -> None:
         if degree < 0:
@@ -117,7 +125,39 @@ class CoefficientRow(FrozenRecord):
                 f"a row of degree {degree} holds {degree + 1} "
                 f"coefficients, got {len(coefficients)}"
             )
-        super().__init__(degree, coefficients)
+        # Each entry is reduced, so no prime divides d and every numerator.
+        ratios = [c.as_integer_ratio() for c in coefficients]
+        d = lcm(*[den for _, den in ratios])
+        super().__init__(degree, tuple([num * (d // den) for num, den in ratios]), d, coefficients)
+
+    @classmethod
+    def from_scaled(cls, numerators: tuple[int, ...], denominator: int) -> CoefficientRow:
+        """The row a_j = numerators[j - 1] / denominator, of degree
+        len(numerators) - 1, from a pair already in the canonical form."""
+        row = object.__new__(cls)
+        FrozenRecord.__init__(row, len(numerators) - 1, numerators, denominator, None)
+        return row
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The entries, ascending by power: the tuple the constructor was
+        given, or reduced Fractions built from the pair when first read."""
+        if self._coefficients is None:
+            d = self.denominator
+            object.__setattr__(
+                self, "_coefficients", tuple(Fraction(c, d) for c in self.numerators))
+        return self._coefficients
+
+    def _fields(self) -> tuple:
+        # Equality and hashing read the canonical pair, never the Fractions.
+        return self.degree, self.numerators, self.denominator
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(degree={self.degree!r}, "
+                f"coefficients={self.coefficients!r})")
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.degree, self.coefficients)
 
     def coefficient(self, power: int) -> Fraction:
         """The coefficient of n**power, for 1 <= power <= degree + 1."""
@@ -139,19 +179,8 @@ def start_row(p: int, start: CoefficientRow | None) -> CoefficientRow:
     return start
 
 
-Polynomial = tuple[Fraction, ...]
-
-
-def scaled(f: Polynomial) -> tuple[tuple[int, ...], int]:
-    """f over its common denominator: (numerators, d) with d the least
-    common multiple of the coefficient denominators and numerators[k] the
-    integer d * c_k, so f(t) = sum_k numerators[k] t^k / d."""
-    d = lcm(*(c.denominator for c in f))
-    return tuple(c.numerator * (d // c.denominator) for c in f), d
-
-
 def horner(numerators: tuple[int, ...], d: int, x: Fraction | int) -> tuple[int, int]:
-    """The value at x of the scaled polynomial (numerators, d), by Horner's
+    """The value at x of the polynomial sum_k numerators[k] t^k / d, by Horner's
     scheme on integers, as an unreduced pair (numerator, denominator).
 
     With x = u/v and n + 1 = len(numerators) the value is
@@ -168,19 +197,3 @@ def horner(numerators: tuple[int, ...], d: int, x: Fraction | int) -> tuple[int,
         acc = acc * u + c * power
         power *= v
     return acc, d * (power // v)
-
-
-def poly_eval(f: Polynomial, x: Fraction | int) -> Fraction:
-    """Exact value of f at x: f scaled to its common denominator, then the
-    integer `horner`, so the only Fraction is the one built at the end."""
-    return Fraction(*horner(*scaled(f), x))
-
-
-def integrate_polynomial(f: Polynomial) -> Polynomial:
-    """Antiderivative with zero constant term: c_k t^k maps to c_k/(k+1) t^(k+1)."""
-    if not f:
-        return ()
-    # From integers: Fraction(c, k + 1) of a Fraction c takes the slow
-    # numbers.Rational path.
-    return (ZERO,) + tuple(
-        Fraction(c.numerator, c.denominator * (k + 1)) for k, c in enumerate(f))

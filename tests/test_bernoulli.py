@@ -20,8 +20,6 @@ from faulhaber import (
     check_power_sum_identity,
     direct_coefficients,
     faulhaber_via_bernoulli,
-    integrate_polynomial,
-    poly_eval,
     power_sum_bruteforce,
 )
 
@@ -171,8 +169,8 @@ def test_polynomial_table_below_the_index_rejected():
 def test_polynomial_interpolates_both_conventions(i):
     table = bernoulli_numbers(i)
     b_poly = bernoulli_polynomial(i)
-    assert poly_eval(b_poly, F(0)) == table.values_minus[i]
-    assert poly_eval(b_poly, F(1)) == table.values_plus[i]
+    assert fraction_value(b_poly, F(0)) == table.values_minus[i]
+    assert fraction_value(b_poly, F(1)) == table.values_plus[i]
 
 
 def test_power_sum_identity_example():
@@ -206,17 +204,18 @@ def test_antiderivatives_are_integrated_once(monkeypatch):
     # One IdentityValues integrates each of B_0..B_31 symbolically exactly
     # once, and checks out of order integrate nothing more.
     integrated = []
+    genuine = faulhaber.bernoulli._integrate_polynomial
 
     def counted(f):
         integrated.append(f)
-        return integrate_polynomial(f)
+        return genuine(f)
 
-    monkeypatch.setattr(faulhaber.bernoulli, "integrate_polynomial", counted)
+    monkeypatch.setattr(faulhaber.bernoulli, "_integrate_polynomial", counted)
     values = IdentityValues(31)
     for i in (30, 3, 0, 17, 30):
         assert all(check_integral_identity(i, a, b, values) for a in ENDPOINTS for b in ENDPOINTS)
     assert integrated == [bernoulli_polynomial(i) for i in range(32)]
-    assert values.antiderivatives == tuple(map(integrate_polynomial, integrated))
+    assert values.antiderivatives == tuple(map(antiderivative, integrated))
 
 
 def test_values_above_the_limit_rejected():
@@ -250,11 +249,16 @@ def test_difference_identity_rejects_low_index(i):
 
 
 def fraction_value(f, x):
-    """f(x) by Horner's scheme on Fractions, independent of `poly_eval`."""
+    """f(x) by Horner's scheme on Fractions, independent of `horner`."""
     value = F(0)
     for c in reversed(f):
         value = value * x + c
     return value
+
+
+def antiderivative(f):
+    """Test-local antiderivative with zero constant term."""
+    return (F(0),) + tuple(c / (k + 1) for k, c in enumerate(f)) if f else ()
 
 
 def power_sum_by_fractions(p, n, values):
@@ -264,9 +268,9 @@ def power_sum_by_fractions(p, n, values):
 
 
 def integral_by_fractions(i, a, b, values):
-    antiderivative = integrate_polynomial(values.polynomials[i])
+    integral = antiderivative(values.polynomials[i])
     successor = values.polynomials[i + 1]
-    left = fraction_value(antiderivative, b) - fraction_value(antiderivative, a)
+    left = fraction_value(integral, b) - fraction_value(integral, a)
     return left == (fraction_value(successor, b) - fraction_value(successor, a)) / (i + 1)
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import faulhaber.bernoulli
 import faulhaber.integration
+import faulhaber.rationals
 from faulhaber import CoefficientRow
 from faulhaber import cli
 
@@ -162,6 +163,10 @@ def test_overlong_non_integer_is_echoed_in_short(capsys, default_digit_limit):
         ("coeffs", " 4"),
         ("coeffs", "\u0663"),  # ARABIC-INDIC DIGIT THREE
         ("eval", "2", "1_000"),
+        # int() reads these as 0; a "-" puts any value below 0.
+        ("coeffs", "-0"),
+        ("bernoulli", "-00"),
+        ("eval", "-0", "2"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
@@ -331,6 +336,25 @@ def test_verify_builds_each_direct_row_once(monkeypatch):
     report = cli.run_verification(40)
     assert report.passed
     assert len(advanced) == 41 and sum(advanced) == 40
+
+
+def test_verify_never_rebuilds_fractions_from_a_pair(monkeypatch):
+    # The rows carry and compare as integer pairs: a passing run builds no
+    # Fraction from a pair, neither to continue the direct row nor to compare
+    # two equal rows.  Reading a pair row's coefficients builds one per entry.
+    built = []
+    genuine = faulhaber.rationals.Fraction
+
+    def counted(*args):
+        built.append(args)
+        return genuine(*args)
+
+    monkeypatch.setattr(faulhaber.rationals, "Fraction", counted)
+    assert cli.run_verification(40).passed
+    assert built == []
+    assert cli.integration_coefficients(3).coefficients == (0, Fraction(1, 4), Fraction(1, 2),
+                                                            Fraction(1, 4))
+    assert len(built) == 4
 
 
 def test_verify_carries_the_lemma_row_and_reads_one_table(monkeypatch):

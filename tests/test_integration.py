@@ -1,20 +1,19 @@
-"""Integration path: antiderivatives, the recurrence step on the scaled
-integer form, and agreement with the direct rows."""
+"""Integration path: the recurrence step on integer numerators over one
+denominator, the rows it returns, and agreement with the direct rows; and
+the `Fraction` antiderivatives and integer Horner evaluation that the
+Bernoulli identity checks use."""
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from faulhaber import (
-    direct_coefficients,
-    integrate_polynomial,
-    integration_coefficients,
-    poly_eval,
-)
-from faulhaber.integration import _to_row, integration_step
-from faulhaber.rationals import scaled
+import faulhaber.integration
+from faulhaber import CoefficientRow, direct_coefficients, integration_coefficients
+from faulhaber.bernoulli import _integrate_polynomial as integrate_polynomial
+from faulhaber.integration import integration_step
+from faulhaber.rationals import horner
 
 F = Fraction
 
@@ -30,6 +29,12 @@ def polynomial(coeffs):
 def differentiate(f):
     """Test-local derivative, the independent inverse of integration."""
     return polynomial(k * f[k] for k in range(1, len(f)))
+
+
+def scaled(f):
+    """Test-local (numerators, d): f over the lcm of its denominators."""
+    d = lcm(*(c.denominator for c in f))
+    return tuple(c.numerator * (d // c.denominator) for c in f), d
 
 
 def row_to_polynomial(row):
@@ -99,11 +104,11 @@ COEFFICIENTS = st.one_of(st.integers(-10**6, 10**6), st.fractions())
 @example([F(1, 6), -1, 1], -3)
 @example([5], F(-7, 3))
 @example([F(1, 2), F(-1, 3)], F(-3, 5))
-def test_poly_eval_matches_fraction_horner(coeffs, x):
+def test_horner_matches_fraction_horner(coeffs, x):
     for f in (tuple(coeffs), polynomial(coeffs)):
-        value = poly_eval(f, x)
-        assert type(value) is Fraction
-        assert value == horner_oracle(f, x)
+        numerator, denominator = horner(*scaled(f), x)
+        assert type(numerator) is int and type(denominator) is int and denominator > 0
+        assert Fraction(numerator, denominator) == horner_oracle(f, x)
 
 
 def test_polynomial_trims_trailing_zeros():
@@ -169,15 +174,26 @@ def test_constant_coefficient_stays_exactly_zero():
         assert f[0][0] == 0
 
 
-def test_row_conversion_requires_zero_constant():
-    with pytest.raises(ValueError):
-        _to_row(scaled(polynomial([F(1, 2), 1])))
-    with pytest.raises(ValueError):
-        _to_row(scaled(polynomial([1])))
+def test_row_conversion_requires_zero_constant(monkeypatch):
+    # A step that leaves a constant term: the row is refused, not truncated.
+    genuine = integration_step
+
+    def leaves_a_constant(f, i):
+        numerators, d = genuine(f, i)
+        return (d, *numerators[1:]), d
+
+    monkeypatch.setattr(faulhaber.integration, "integration_step", leaves_a_constant)
+    with pytest.raises(ValueError, match="nonzero constant coefficient 1;"):
+        integration_coefficients(3)
+    assert integration_coefficients(3, direct_coefficients(3)) == direct_coefficients(3)
 
 
 def test_row_polynomial_round_trip():
     row = direct_coefficients(7)
-    converted = _to_row(scaled(row_to_polynomial(row)))
+    numerators, d = scaled(row_to_polynomial(row))
+    assert numerators[0] == 0
+    converted = CoefficientRow.from_scaled(numerators[1:], d)
     assert converted == row
+    assert (converted.numerators, converted.denominator) == (row.numerators, row.denominator)
     assert all(type(c) is Fraction for c in converted.coefficients)
+    assert converted.coefficients == row.coefficients
