@@ -319,7 +319,7 @@ def _clip(text: str) -> str:  # an echoed value may be megabytes long
     return text if len(text) <= 40 else text[:40] + "..."
 
 
-def _natural(text: str) -> int:
+def _at_least(least: int, text: str) -> int:
     # An optional "-" and ASCII digits only: int() would also take "+3",
     # " 4", "1_0" and non-ASCII digits.  A "-" makes any value, "-0"
     # included, one below 0.
@@ -327,16 +327,18 @@ def _natural(text: str) -> int:
     digits = text[1:] if negative else text
     if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"expected an integer, got {_clip(repr(text))}")
-    if negative:
-        raise argparse.ArgumentTypeError(f"expected a value >= 0, got {_clip(text)}")
-    return int(text)
+    value = -1 if negative else int(text)
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected a value >= {least}, got {_clip(text)}")
+    return value
+
+
+def _natural(text: str) -> int:
+    return _at_least(0, text)
 
 
 def _positive(text: str) -> int:
-    value = _natural(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a value >= 1, got {value}")
-    return value
+    return _at_least(1, text)
 
 
 def _warn_if_huge(name: str, value: int, limit: int) -> None:

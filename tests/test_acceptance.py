@@ -203,12 +203,13 @@ def test_c10_lemma_rows_exact_against_bernoulli_within_budget():
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     rows = []
+    # The lemma row at p = 700 took 0.20-0.28 s, best of 3.
     elapsed = best_seconds(lambda: rows.append(integration_coefficients(700)), repeats=3)
     assert elapsed < 1.0
     assert rows[0] == faulhaber_via_bernoulli(700)
     assert all(type(c) is Fraction for c in rows[0].coefficients)
-    # At p = 1000 the lemma row took about 1.2 s and the Bernoulli row
-    # 0.15 s (Python 3.11.7, 2 cores): a 3 s budget for both.
+    # At p = 1000 the lemma row took 0.52-0.70 s and the Bernoulli row
+    # 0.14 s (Python 3.11.7, 2 cores): a 3 s budget for both.
     start = time.perf_counter()
     assert integration_coefficients(1000) == faulhaber_via_bernoulli(1000)
     elapsed = time.perf_counter() - start

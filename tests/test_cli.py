@@ -176,6 +176,17 @@ def test_usage_errors_exit_2(capsys, argv):
     assert capsys.readouterr().err != ""
 
 
+@pytest.mark.parametrize("n", ["-1", "-0"])
+def test_negative_n_is_refused_with_its_own_bound(capsys, n):
+    # n starts at 1, p at 0: the message names n's bound whatever the sign.
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["eval", "2", n])
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: argument n: expected a value >= 1, got {n}\n")
+
+
 def test_bernoulli_plus_convention(capsys):
     code, out, _ = run_cli(capsys, "bernoulli", "1", "--convention", "plus")
     assert code == 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import faulhaber.integration
@@ -156,6 +156,25 @@ def test_every_step_returns_the_canonical_scaled_form():
         assert type(d) is int and all(type(c) is int for c in numerators)
         assert d > 0 and gcd(d, *numerators) == 1 and numerators[-1] != 0
         assert f == scaled(reference)
+
+
+@given(
+    st.lists(st.fractions(-10**6, 10**6, max_denominator=10**4), min_size=1, max_size=10),
+    st.booleans(),
+    st.integers(1, 200),
+)
+# Every polynomial of the lemma chain has a zero constant term, and the step
+# then needs no reducing.  With a nonzero one the row can share a factor with
+# its denominator, which the step must divide out: 1/2 at p = 1 scales to
+# (0, 2) over 2 before it is reduced to (0, 1) over 1.
+@example([F(1, 2)], False, 1)
+def test_step_on_random_polynomials_gives_the_canonical_reference(terms, zero_constant, p):
+    f = polynomial([0, *terms] if zero_constant else terms)
+    assume(f)
+    numerators, d = advanced = integration_step(scaled(f), p)
+    assert type(d) is int and all(type(c) is int for c in numerators)
+    assert d > 0 and gcd(d, *numerators) == 1 and numerators[-1] != 0
+    assert advanced == scaled(reference_step(f, p))
 
 
 def test_rows_for_small_degrees():
