@@ -8,9 +8,10 @@ with b_1 = +1/2.
 Bernoulli numbers come in two sign conventions that differ only at index 1:
 the "minus" convention (b_1 = -1/2) is what the standard Bernoulli
 polynomials interpolate at 0, while the closed formula above needs the
-"plus" convention (b_1 = +1/2, which is B_1 evaluated at 1).  Both are
-stored side by side so no caller ever flips a sign ad hoc — conflating the
-two is the classic off-by-sign bug this module is shaped to prevent.
+"plus" convention (b_1 = +1/2, which is B_1 evaluated at 1).  A table
+stores the minus convention only and gives the plus one read from it, so
+no caller ever flips a sign ad hoc — conflating the two is the classic
+off-by-sign bug this module is shaped to prevent.
 Each `bernoulli_numbers` call builds its own table, and the closed formula
 and the polynomials read the table their caller passes, so the module keeps
 no state between calls.
@@ -29,10 +30,10 @@ no check builds a Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .oracle import power_sum_bruteforce
-from .rationals import ONE, ZERO, CoefficientRow, FrozenRecord, horner
+from .rationals import ONE, ZERO, CoefficientRow, FrozenRecord, horner, scaled
 
 __all__ = [
     "BernoulliTable",
@@ -47,45 +48,39 @@ __all__ = [
 
 
 class BernoulliTable(FrozenRecord):
-    """Bernoulli numbers b_0..b_limit in both sign conventions.
+    """Bernoulli numbers b_0..b_limit, stored in the minus convention.
 
-    values_minus[1] == -1/2 and values_plus[1] == +1/2; every other index
-    agrees between the two.  Odd indices >= 3 are zero.
+    values_minus[1] == -1/2; `values_plus` is read from it, with b_1 = +1/2
+    and every other entry the same object.  Odd indices >= 3 are zero.
     """
 
-    __slots__ = ("limit", "values_minus", "values_plus")
-    limit: int
+    __slots__ = ("values_minus",)
     values_minus: tuple[Fraction, ...]
-    values_plus: tuple[Fraction, ...]
 
-    def __init__(
-        self,
-        limit: int,
-        values_minus: tuple[Fraction, ...],
-        values_plus: tuple[Fraction, ...],
-    ) -> None:
-        if not len(values_minus) == len(values_plus) == limit + 1:
-            raise ValueError(
-                f"a table through b_{limit} holds {limit + 1} numbers per "
-                f"convention, got {len(values_minus)} and {len(values_plus)}"
-            )
-        for k, (b_minus, b_plus) in enumerate(zip(values_minus, values_plus)):
-            expected = (Fraction(-1, 2), Fraction(1, 2)) if k == 1 else (b_minus, b_minus)
-            if (b_minus, b_plus) != expected:
-                raise ValueError(
-                    "the conventions differ only in b_1 = -1/2 and +1/2, "
-                    f"got b_{k} = {b_minus} and {b_plus}"
-                )
-        super().__init__(limit, values_minus, values_plus)
+    def __init__(self, values_minus: tuple[Fraction, ...]) -> None:
+        if not values_minus:
+            raise ValueError("a table holds b_0 at least, got no numbers")
+        if values_minus[1:2] not in ((), (Fraction(-1, 2),)):
+            raise ValueError(f"a table stores b_1 = -1/2, got b_1 = {values_minus[1]}")
+        super().__init__(values_minus)
+
+    @property
+    def limit(self) -> int:
+        return len(self.values_minus) - 1
+
+    @property
+    def values_plus(self) -> tuple[Fraction, ...]:
+        minus = self.values_minus
+        return minus if len(minus) < 2 else (minus[0], Fraction(1, 2), *minus[2:])
 
 
 def bernoulli_numbers(m: int) -> BernoulliTable:
-    """Bernoulli numbers through index m, both conventions.
+    """Bernoulli numbers through index m, stored in the minus convention.
 
     The even-index numbers come from the tangent numbers T_1..T_h, h = m // 2
     (Brent and Harvey, arXiv:1108.0286), built in place with int arithmetic
     only:  B_2k = (-1)^(k-1) * 2k * T_k / (4^k (4^k - 1)).  b_1 = -1/2 in the
-    minus convention, +1/2 in the plus one, and odd indices >= 3 are zero.
+    minus convention the table stores, and odd indices >= 3 are zero.
     Each call builds its own table; a caller that needs rows of several
     degrees builds one table for the highest and passes it on.
     """
@@ -104,10 +99,7 @@ def bernoulli_numbers(m: int) -> BernoulliTable:
         value = Fraction(2 * k * tangent[k], power * (power - 1))
         minus += (value if k % 2 else -value, ZERO)
     del minus[m + 1:]
-    plus = list(minus)
-    if m >= 1:
-        plus[1] = Fraction(1, 2)
-    return BernoulliTable(m, tuple(minus), tuple(plus))
+    return BernoulliTable(tuple(minus))
 
 
 def faulhaber_via_bernoulli(p: int, table: BernoulliTable | None = None) -> CoefficientRow:
@@ -128,7 +120,7 @@ def faulhaber_via_bernoulli(p: int, table: BernoulliTable | None = None) -> Coef
     # odd i >= 3, where b_i = 0, stay 0 over 1.  Nothing carries over from
     # another degree: that would turn this path into the direct recurrence.
     q = p + 1
-    numerators, denominators = [0] * q, [1] * q
+    ratios = [(0, 1)] * q
     binomial = 1
     for i, b in enumerate(table.values_plus[:q]):
         if b:
@@ -136,11 +128,9 @@ def faulhaber_via_bernoulli(p: int, table: BernoulliTable | None = None) -> Coef
             g = gcd(binomial, den * q)
             c, den = binomial // g, den * q // g
             g = gcd(num, den)
-            numerators[p - i], denominators[p - i] = c * (num // g), den // g
+            ratios[p - i] = c * (num // g), den // g
         binomial = binomial * (q - i) // (i + 1)
-    d = lcm(*denominators)
-    return CoefficientRow.from_scaled(
-        tuple(c * (d // den) for c, den in zip(numerators, denominators)), d)
+    return CoefficientRow.from_scaled(*scaled(ratios))
 
 
 def bernoulli_polynomial(i: int, table: BernoulliTable | None = None) -> tuple[Fraction, ...]:
@@ -172,14 +162,6 @@ def _integrate_polynomial(f: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         Fraction(c.numerator, c.denominator * (k + 1)) for k, c in enumerate(f))
 
 
-def _scaled(f: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
-    """f over its common denominator: (numerators, d) with d the least
-    common multiple of the coefficient denominators and numerators[k] the
-    integer d * c_k, so f(t) = sum_k numerators[k] t^k / d."""
-    d = lcm(*(c.denominator for c in f))
-    return tuple(c.numerator * (d // c.denominator) for c in f), d
-
-
 class IdentityValues:
     """B_0..B_limit from one table, their antiderivatives (zero constant
     term), each scaled once, and their values, each computed once per point.
@@ -198,7 +180,7 @@ class IdentityValues:
         # Through the module global, which a tracer or a test may wrap.
         self.polynomials = tuple(bernoulli_polynomial(i, table) for i in range(limit + 1))
         self.antiderivatives = tuple(map(_integrate_polynomial, self.polynomials))
-        self._forms = tuple(tuple(map(_scaled, polynomials))
+        self._forms = tuple(tuple(scaled([c.as_integer_ratio() for c in f]) for f in polynomials)
                             for polynomials in (self.polynomials, self.antiderivatives))
         self._values: dict[tuple[bool, int, int, int], tuple[int, int]] = {}
 

@@ -34,13 +34,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .rationals import CoefficientRow, start_row
+from .rationals import CoefficientRow, Scaled, start_row
 
 __all__ = [
     "integration_coefficients",
 ]
-
-Scaled = tuple[tuple[int, ...], int]
 
 
 def integration_step(f_prev: Scaled, p: int) -> Scaled:

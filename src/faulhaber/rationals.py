@@ -8,6 +8,8 @@ this module, so none of them loads another's arithmetic.  It holds:
 
 - the record bases `Record` and `FrozenRecord`, the `CoefficientRow`
   every path returns, and `start_row`, the row both recurrences resume from;
+- `scaled`, which puts reduced fractions over their least common
+  denominator: the `Scaled` pair every row and polynomial is held as;
 - `horner`, the exact value of a polynomial held as integers over one
   denominator, which the oracle and the Bernoulli identity checks share.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from numbers import Rational
 
 __all__ = [
     "ZERO",
@@ -24,6 +27,18 @@ __all__ = [
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# A polynomial or row as integers over one denominator: (numerators, d)
+# with d > 0 and gcd(d, *numerators) == 1, entry k being numerators[k] / d.
+Scaled = tuple[tuple[int, ...], int]
+
+
+def scaled(ratios: list[tuple[int, int]]) -> Scaled:
+    """Reduced fractions, as (numerator, denominator) pairs, over their least
+    common denominator d: canonical, since each prime's full power in d is
+    in some entry's denominator, over a numerator prime to it."""
+    d = lcm(*[den for _, den in ratios])
+    return tuple([num * (d // den) for num, den in ratios]), d
 
 
 # Plain value records, the package's data classes without `dataclasses`,
@@ -101,9 +116,10 @@ class CoefficientRow(FrozenRecord):
     `gcd(denominator, *numerators) == 1`.  That form is canonical: two rows
     are equal, and hash alike, exactly when their degrees and pairs are,
     and comparing them compares ints.  The paths build rows from their pair
-    with `from_scaled`; the public constructor takes the coefficients and
-    keeps the tuple it is given.  A row built from its pair builds its
-    tuple of reduced `Fraction`s the first time `coefficients` is read.
+    with `from_scaled`; the public constructor keeps each `Fraction` it is
+    given, converts each int and rejects any other entry (a float, a
+    `Decimal`).  A row built from its pair builds its tuple of reduced
+    `Fraction`s the first time `coefficients` is read.
 
     Rows produced by any of the computation paths satisfy: the entries sum
     to 1, the top entry is 1/(p+1), the entry of n^p is 1/2 for p >= 1, and
@@ -125,10 +141,13 @@ class CoefficientRow(FrozenRecord):
                 f"a row of degree {degree} holds {degree + 1} "
                 f"coefficients, got {len(coefficients)}"
             )
-        # Each entry is reduced, so no prime divides d and every numerator.
-        ratios = [c.as_integer_ratio() for c in coefficients]
-        d = lcm(*[den for _, den in ratios])
-        super().__init__(degree, tuple([num * (d // den) for num, den in ratios]), d, coefficients)
+        if set(map(type, coefficients)) - {Fraction}:  # a row of Fractions skips the checks
+            for power, c in enumerate(coefficients, 1):
+                if not isinstance(c, Rational):
+                    raise ValueError(f"coefficient of n^{power} is not a Fraction or int: {c!r}")
+            coefficients = tuple([Fraction(c) if isinstance(c, int) else c for c in coefficients])
+        numerators, d = scaled([c.as_integer_ratio() for c in coefficients])
+        super().__init__(degree, numerators, d, coefficients)
 
     @classmethod
     def from_scaled(cls, numerators: tuple[int, ...], denominator: int) -> CoefficientRow:
@@ -140,7 +159,7 @@ class CoefficientRow(FrozenRecord):
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        """The entries, ascending by power: the tuple the constructor was
+        """The entries, ascending by power: the Fractions the constructor was
         given, or reduced Fractions built from the pair when first read."""
         if self._coefficients is None:
             d = self.denominator

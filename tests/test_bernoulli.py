@@ -70,10 +70,12 @@ def test_table_shape_and_conventions():
     assert table.limit == 50
     assert table.values_minus[0] == table.values_plus[0] == 1
     assert table.values_plus[1] == -table.values_minus[1] == F(1, 2)
-    for k in range(2, 51):
-        assert table.values_plus[k] == table.values_minus[k]
+    for k in range(2, 51):  # read from the one stored convention
+        assert table.values_plus[k] is table.values_minus[k]
     for k in range(3, 51, 2):
         assert table.values_plus[k] == 0
+    table = bernoulli_numbers(0)
+    assert table.limit == 0 and table.values_plus == table.values_minus == (1,)
 
 
 @settings(max_examples=30, deadline=None)
@@ -123,13 +125,11 @@ def test_closed_formula_rows_read_the_table_passed():
     for p in range(121):
         assert faulhaber_via_bernoulli(p, table) == faulhaber_via_bernoulli(p)
     # The row is read from the table given, not from one built afresh:
-    # shifting b_2 by 1 (in both conventions, which agree past b_1) shifts
-    # the coefficient of n^5 in row 6 by C(7, 2)/7.
-    table = bernoulli_numbers(6)
-    minus, plus = list(table.values_minus), list(table.values_plus)
+    # shifting b_2 by 1 (once: the plus convention is read from the minus
+    # one) shifts the coefficient of n^5 in row 6 by C(7, 2)/7.
+    minus = list(bernoulli_numbers(6).values_minus)
     minus[2] += 1
-    plus[2] += 1
-    shifted = BernoulliTable(6, tuple(minus), tuple(plus))
+    shifted = BernoulliTable(tuple(minus))
     expected = list(faulhaber_via_bernoulli(6).coefficients)
     expected[4] += F(comb(7, 2), 7)
     assert faulhaber_via_bernoulli(6, shifted).coefficients == tuple(expected)

@@ -1,11 +1,13 @@
 """`rat_add` and `rat_mul`, the two operations the benchmark's rational
-probe times, are exact `Fraction` arithmetic."""
+probe times, are exact `Fraction` arithmetic, and `scaled` puts reduced
+fractions over their least common denominator as a canonical pair."""
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from faulhaber.rationals import rat_add, rat_mul
+from faulhaber.rationals import rat_add, rat_mul, scaled
 
 
 def test_add_examples():
@@ -46,7 +48,15 @@ def test_identities(x):
 
 @given(st.fractions())
 def test_results_are_canonical_and_round_trip(x):
-    from math import gcd
-
     assert gcd(abs(x.numerator), x.denominator) == 1
     assert x.denominator >= 1
+
+
+@given(st.lists(st.one_of(st.fractions(), st.just(Fraction(0))), max_size=12))
+def test_scaled_gives_the_canonical_pair(entries):
+    numerators, d = scaled([c.as_integer_ratio() for c in entries])
+    assert d > 0
+    assert gcd(d, *numerators) == 1
+    assert len(numerators) == len(entries)
+    for k, entry in enumerate(entries):
+        assert Fraction(numerators[k], d) == entry

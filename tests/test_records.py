@@ -3,6 +3,7 @@ equality within one class, immutability and hashing of the three frozen
 ones, and the validation of `CoefficientRow` and `BernoulliTable`."""
 import copy
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,7 @@ F = Fraction
 # class -> the constructor's keyword arguments, in positional order
 FIELDS = {
     CoefficientRow: {"degree": 2, "coefficients": (F(1, 6), F(1, 2), F(1, 3))},
-    BernoulliTable: {
-        "limit": 1, "values_minus": (F(1), F(-1, 2)), "values_plus": (F(1), F(1, 2))},
+    BernoulliTable: {"values_minus": (F(1), F(-1, 2))},
     Mismatch: {"p": 7, "pair": "direct vs lemma", "power": 3},
     OpCounter: {"additions": 54, "multiplications": 45},
     VerifyReport: {
@@ -63,7 +63,7 @@ def test_one_different_field_breaks_equality(cls):
     if cls is CoefficientRow:  # keep the row valid
         fields["coefficients"] = (F(1),)
     if cls is BernoulliTable:  # keep the table valid
-        fields["values_minus"] = fields["values_plus"] = (F(1),)
+        fields["values_minus"] = (F(1),)
     assert cls(**fields) != build(cls)
 
 
@@ -116,17 +116,16 @@ def test_op_counter_starts_at_zero():
     [
         (CoefficientRow, (-1, ()), "degree must be >= 0, got -1"),
         (CoefficientRow, (2, (F(1),)), "a row of degree 2 holds 3 coefficients, got 1"),
-        (BernoulliTable, (10, (F(1), F(-1, 2)), (F(1), F(1, 2))),
-         "a table through b_10 holds 11 numbers per convention, got 2 and 2"),
-        (BernoulliTable, (1, (F(1), F(-1, 2)), (F(1),)),
-         "a table through b_1 holds 2 numbers per convention, got 2 and 1"),
-        (BernoulliTable, (1, (F(1), F(-1, 2)), (F(1), F(-1, 2))),
-         "the conventions differ only in b_1 = -1/2 and +1/2, got b_1 = -1/2 and -1/2"),
-        (BernoulliTable, (2, (F(1), F(-1, 2), F(1, 6)), (F(1), F(1, 2), F(7, 6))),
-         "the conventions differ only in b_1 = -1/2 and +1/2, got b_2 = 1/6 and 7/6"),
+        (CoefficientRow, (1, (0.5, 0.5)),
+         "coefficient of n^1 is not a Fraction or int: 0.5"),
+        (CoefficientRow, (1, (F(1, 2), Decimal("0.5"))),
+         "coefficient of n^2 is not a Fraction or int: Decimal('0.5')"),
+        (BernoulliTable, ((),), "a table holds b_0 at least, got no numbers"),
+        (BernoulliTable, ((F(1), F(1, 2), F(1, 6)),),
+         "a table stores b_1 = -1/2, got b_1 = 1/2"),
     ],
-    ids=["row-negative-degree", "row-too-short", "table-too-short", "table-conventions-differ",
-         "table-b1-conflated", "table-conventions-disagree-past-b1"],
+    ids=["row-negative-degree", "row-too-short", "row-float-entry", "row-decimal-entry",
+         "table-too-short", "table-b1-conflated"],
 )
 def test_records_reject_malformed_fields(cls, fields, message):
     with pytest.raises(ValueError) as excinfo:
