@@ -58,6 +58,7 @@ class BernoulliTable(FrozenRecord):
     values_minus: tuple[Fraction, ...]
 
     def __init__(self, values_minus: tuple[Fraction, ...]) -> None:
+        values_minus = tuple(values_minus)
         if not values_minus:
             raise ValueError("a table holds b_0 at least, got no numbers")
         if values_minus[1:2] not in ((), (Fraction(-1, 2),)):

@@ -215,12 +215,13 @@ def _first_difference(a: CoefficientRow, b: CoefficientRow) -> int | None:
     """1-based power of the first differing coefficient, or None if equal."""
     if a == b:  # the usual case: the canonical pairs compare as ints
         return None
-    for j, (ca, cb) in enumerate(zip(a.coefficients, b.coefficients), start=1):
-        if ca != cb:
+    da, db = a.denominator, b.denominator
+    for j, (na, nb) in enumerate(zip(a.numerators, b.numerators), start=1):
+        if na * db != nb * da:
             return j
-    if len(a.coefficients) != len(b.coefficients):
-        return min(len(a.coefficients), len(b.coefficients)) + 1
-    return None
+    # Equal through the shorter row: the rows differ in length, or one pair
+    # is equal in value but not reduced.
+    return min(len(a.numerators), len(b.numerators)) + 1
 
 
 def _tally(check: Callable[..., bool], *ranges: Iterable) -> tuple[int, int]:

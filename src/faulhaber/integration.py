@@ -13,17 +13,16 @@ recurrence (the coefficient of n^(k+1) is p * c_k / (k+1), the linear one
 1 minus the rest), computed by separate code in another order.
 
 A polynomial is held on integers, in the form of `CoefficientRow`: a pair
-(numerators, d) of ints with d > 0 and gcd(d, *numerators) == 1, so
-f(n) = sum_k numerators[k] n^k / d.  The path starts from the pair of the
-row it continues, with a 0 prepended for the constant term; a step
-divides gcd(p, d) out of p and d, integrates and scales each entry with
-one divmod by its small divisor, and puts the whole row over one common
-denominator that is already reduced, so no gcd over the row and no
-division of every entry follows; the last pair, its zero constant term
-dropped, is the row returned.  No step builds a `Fraction`: normalising
-every entry as a `Fraction` at every step would cost a gcd per slot on
-numerators of thousands of bits, although the row's reduced denominator
-stays small.
+(numerators, d) of ints with d > 0 and gcd(d, *numerators) == 1, entry j
+being the coefficient numerators[j] / d of n^(j+1).  Every f_p has a zero
+constant term, so none is stored: the path starts from the pair of the row
+it continues, and its last pair is the row returned.  A step divides
+gcd(p, d) out of p and d, integrates and scales each entry with one divmod
+by its small divisor, and puts the whole row over one common denominator
+that is already reduced, so no gcd over the row and no division of every
+entry follows.  No step builds a `Fraction`: normalising every entry as a
+`Fraction` at every step would cost a gcd per slot on numerators of
+thousands of bits, although the row's reduced denominator stays small.
 
 This module keeps no state: a caller walking the degrees upward passes the
 row it holds back in.  It does not participate in the operation-count cost
@@ -31,7 +30,6 @@ model, which applies to the direct algorithm only.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .rationals import CoefficientRow, Scaled, start_row
@@ -43,49 +41,41 @@ __all__ = [
 
 def integration_step(f_prev: Scaled, p: int) -> Scaled:
     """One recurrence step: the power-sum polynomial of degree p + 1 from
-    the one of degree p (f_prev represents f_{p-1}, a nonzero polynomial),
-    both as (numerators, d) pairs.
+    the one of degree p (f_prev represents f_{p-1}), both as canonical
+    (numerators, d) pairs whose entry j is the coefficient of n^(j+1).
 
     Computes p * F plus the linear correction (1 - p * F(1)) * n, where F
     is the antiderivative of f_prev with zero constant.  With u = gcd(p, d),
-    p' = p / u and d' = d / u, the entry of slot k + 1 is
-    p' * c_k / (d' * (k+1)), c_k = numerators[k].  One divmod,
-    c_k = q * (k+1) + r, serves that slot twice: the remainder gives the
-    factor (k+1) / gcd(p' * r, k+1) that p' * c_k / (k+1) needs in its
+    p' = p / u and d' = d / u, entry j feeds slot j + 1 the value
+    p' * c_j / (d' * (j+2)), c_j = numerators[j].  One divmod,
+    c_j = q * (j+2) + r, serves that slot twice: the remainder gives the
+    factor (j+2) / gcd(p' * r, j+2) that p' * c_j / (j+2) needs in its
     denominator, and over d' * m, m the least common multiple of those
-    factors, the quotient gives the numerator q * p'm + r * p'm / (k+1)
-    exactly.
+    factors, the quotient gives the numerator q * p'm + r * p'm / (j+2)
+    exactly.  The linear entry is d' * m less the sum of the others.
 
-    No reducing pass follows, because a canonical f_prev with a zero
-    constant term, as every polynomial of the chain is, gives a canonical
+    No reducing pass follows, because a canonical f_prev gives a canonical
     result.  Take a prime t dividing d' * m.  If t divides m, its full
-    power t^e in m is the t-part of one slot's factor, for a slot k >= 1
-    (slot 0's factor is 1); the entry of slot k + 1 is m times a reduced
-    fraction with t^e in its denominator, so t does not divide it.  If t
-    divides d' but not m, it does not divide p' either (gcd(p', d') = 1),
-    so it divides the entry of slot k + 1 only if it divides c_k; for it to
-    divide every entry it would have to divide every c_k (c_0 = 0) and d,
-    against gcd(d, *numerators) == 1.  Any other input still gets its
-    canonical pair: the gcd over the row is taken anyway, stops at its
-    first 1, and the row is divided only when it is not 1.
+    power t^e in m is the t-part of one entry's factor; the slot that entry
+    feeds holds m times a reduced fraction with t^e in its denominator, so
+    t does not divide it.  If t divides d' but not m, it does not divide p'
+    either (gcd(p', d') = 1), so it divides the entry of slot j + 1 only if
+    it divides c_j; for it to divide every entry it would have to divide
+    every c_j and d, against gcd(d, *numerators) == 1.
     """
     if p < 1:
         raise ValueError(f"integration recurrence needs p >= 1, got {p}")
     numerators, d = f_prev
     u = gcd(p, d)
     p, d = p // u, d // u  # p' and d'
-    parts = [divmod(c, k + 1) for k, c in enumerate(numerators)]
-    m = lcm(*((k + 1) // gcd(p * r, k + 1) for k, (_, r) in enumerate(parts)))
+    parts = [divmod(c, j + 2) for j, c in enumerate(numerators)]
+    m = lcm(*((j + 2) // gcd(p * r, j + 2) for j, (_, r) in enumerate(parts)))
     pm = p * m
-    # p * F over d' * m; its top entry stays nonzero, so a trimmed f_prev
-    # gives a trimmed result.
-    out = [0, *(q * pm + r * pm // (k + 1) for k, (q, r) in enumerate(parts))]
+    # p * F over d' * m, above the linear slot; its top entry stays nonzero,
+    # so a trimmed f_prev gives a trimmed result.
+    out = [q * pm + r * pm // (j + 2) for j, (q, r) in enumerate(parts)]
     dm = d * m
-    out[1] += dm - sum(out)
-    g = gcd(dm, *out)
-    if g != 1:
-        return tuple(c // g for c in out), dm // g
-    return tuple(out), dm
+    return (dm - sum(out), *out), dm
 
 
 def integration_coefficients(p: int, start: CoefficientRow | None = None) -> CoefficientRow:
@@ -93,18 +83,10 @@ def integration_coefficients(p: int, start: CoefficientRow | None = None) -> Coe
 
     Starts from f_0(n) = n, or from the power-sum polynomial of `start`, a
     row of degree at most p, and applies integration_step once per degree
-    after it.  Then drops the constant coefficient, and fails loudly if it
-    is not zero: power sums have none, so one means the computation that
-    produced it is broken.
+    after it.
     """
     start = start_row(p, start)
-    f = (0, *start.numerators), start.denominator
+    f = start.numerators, start.denominator
     for i in range(start.degree + 1, p + 1):
         f = integration_step(f, i)
-    numerators, d = f
-    if numerators[0] != 0:
-        raise ValueError(
-            f"power-sum polynomial has nonzero constant coefficient "
-            f"{Fraction(numerators[0], d)}; refusing to drop it"
-        )
-    return CoefficientRow.from_scaled(numerators[1:], d)
+    return CoefficientRow.from_scaled(*f)

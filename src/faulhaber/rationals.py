@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from numbers import Rational
 
 __all__ = [
     "ZERO",
@@ -116,9 +115,10 @@ class CoefficientRow(FrozenRecord):
     `gcd(denominator, *numerators) == 1`.  That form is canonical: two rows
     are equal, and hash alike, exactly when their degrees and pairs are,
     and comparing them compares ints.  The paths build rows from their pair
-    with `from_scaled`; the public constructor keeps each `Fraction` it is
-    given, converts each int and rejects any other entry (a float, a
-    `Decimal`).  A row built from its pair builds its tuple of reduced
+    with `from_scaled`; the public constructor stores a tuple of the
+    entries, keeps each `Fraction` it is given, converts each int and
+    rejects any entry of another type (a float, a `Decimal`, a numpy
+    integer).  A row built from its pair builds its tuple of reduced
     `Fraction`s the first time `coefficients` is read.
 
     Rows produced by any of the computation paths satisfy: the entries sum
@@ -141,9 +141,10 @@ class CoefficientRow(FrozenRecord):
                 f"a row of degree {degree} holds {degree + 1} "
                 f"coefficients, got {len(coefficients)}"
             )
+        coefficients = tuple(coefficients)  # the caller's list stays the caller's
         if set(map(type, coefficients)) - {Fraction}:  # a row of Fractions skips the checks
             for power, c in enumerate(coefficients, 1):
-                if not isinstance(c, Rational):
+                if not isinstance(c, (Fraction, int)):
                     raise ValueError(f"coefficient of n^{power} is not a Fraction or int: {c!r}")
             coefficients = tuple([Fraction(c) if isinstance(c, int) else c for c in coefficients])
         numerators, d = scaled([c.as_integer_ratio() for c in coefficients])

@@ -12,7 +12,6 @@ import pytest
 
 import faulhaber.bernoulli
 import faulhaber.integration
-import faulhaber.rationals
 from faulhaber import CoefficientRow
 from faulhaber import cli
 
@@ -210,10 +209,15 @@ def test_bernoulli_default_reaches_minus_one_thirtieth(capsys):
     ((1, 2, 3), (1, 2, 3, 4), 4),  # rows of different lengths
     ((1, 2, 3, 4), (1, 2, 3), 4),
     ((7,), (1, 2), 1),
+    # Equal in value to (1/2, 1/2) but not its canonical pair: the rows
+    # compare unequal, so the mismatch is reported, past the last entry.
+    (CoefficientRow.from_scaled((2, 2), 4), (Fraction(1, 2), Fraction(1, 2)), 3),
 ])
 def test_first_difference(a, b, power):
-    rows = [CoefficientRow(len(c) - 1, tuple(map(Fraction, c))) for c in (a, b)]
+    rows = [c if isinstance(c, CoefficientRow) else
+            CoefficientRow(len(c) - 1, tuple(map(Fraction, c))) for c in (a, b)]
     assert cli._first_difference(*rows) == power
+    assert cli._first_difference(*reversed(rows)) == power
 
 
 def test_verify_trivial_range_passes(capsys):
@@ -354,13 +358,14 @@ def test_verify_never_rebuilds_fractions_from_a_pair(monkeypatch):
     # Fraction from a pair, neither to continue the direct row nor to compare
     # two equal rows.  Reading a pair row's coefficients builds one per entry.
     built = []
-    genuine = faulhaber.rationals.Fraction
+    genuine = CoefficientRow.coefficients.fget
 
-    def counted(*args):
-        built.append(args)
-        return genuine(*args)
+    def counted(row):
+        if row._coefficients is None:  # this read builds them from the pair
+            built.extend(row.numerators)
+        return genuine(row)
 
-    monkeypatch.setattr(faulhaber.rationals, "Fraction", counted)
+    monkeypatch.setattr(CoefficientRow, "coefficients", property(counted))
     assert cli.run_verification(40).passed
     assert built == []
     assert cli.integration_coefficients(3).coefficients == (0, Fraction(1, 4), Fraction(1, 2),

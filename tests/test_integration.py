@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-import faulhaber.integration
 from faulhaber import CoefficientRow, direct_coefficients, integration_coefficients
 from faulhaber.bernoulli import _integrate_polynomial as integrate_polynomial
 from faulhaber.integration import integration_step
@@ -117,13 +116,14 @@ def test_polynomial_trims_trailing_zeros():
 
 
 def test_step_from_known_polynomials():
-    f0 = scaled(polynomial([0, 1]))
+    # Pairs without a constant slot: entry j is the coefficient of n^(j+1).
+    f0 = ((1,), 1)
     f1 = integration_step(f0, 1)
-    assert f1 == ((0, 1, 1), 2)
+    assert f1 == ((1, 1), 2)
     f2 = integration_step(f1, 2)
-    assert f2 == scaled(polynomial([0, F(1, 6), F(1, 2), F(1, 3)]))
+    assert f2 == scaled(polynomial([F(1, 6), F(1, 2), F(1, 3)]))
     f3 = integration_step(f2, 3)
-    assert f3 == scaled(polynomial([0, 0, F(1, 4), F(1, 2), F(1, 4)]))
+    assert f3 == scaled(polynomial([0, F(1, 4), F(1, 2), F(1, 4)]))
 
 
 def test_step_rejects_zero_degree():
@@ -133,22 +133,22 @@ def test_step_rejects_zero_degree():
 
 @pytest.mark.parametrize("i", range(1, 26))
 def test_step_advances_direct_rows(i):
-    previous = scaled(row_to_polynomial(direct_coefficients(i - 1)))
+    previous = scaled(direct_coefficients(i - 1).coefficients)
     advanced = integration_step(previous, i)
-    assert advanced == scaled(row_to_polynomial(direct_coefficients(i)))
+    assert advanced == scaled(direct_coefficients(i).coefficients)
 
 
 def reference_step(f, p):
     """The recurrence on Fractions, with a test-local antiderivative:
-    p * F + (1 - p * F(1)) * n."""
-    antiderivative = (F(0),) + tuple(c / (k + 1) for k, c in enumerate(f))
+    p * F + (1 - p * F(1)) * n, f and the result without a constant slot."""
+    antiderivative = (F(0),) + tuple(c / (j + 2) for j, c in enumerate(f))
     out = [p * c for c in antiderivative]
-    out[1] += 1 - p * sum(antiderivative)
+    out[0] += 1 - p * sum(antiderivative)
     return polynomial(out)
 
 
 def test_every_step_returns_the_canonical_scaled_form():
-    reference = polynomial([0, 1])
+    reference = polynomial([1])
     f = scaled(reference)
     for i in range(1, 61):
         reference = reference_step(reference, i)
@@ -163,13 +163,12 @@ def test_every_step_returns_the_canonical_scaled_form():
     st.booleans(),
     st.integers(1, 200),
 )
-# Every polynomial of the lemma chain has a zero constant term, and the step
-# then needs no reducing.  With a nonzero one the row can share a factor with
-# its denominator, which the step must divide out: 1/2 at p = 1 scales to
-# (0, 2) over 2 before it is reduced to (0, 1) over 1.
+# Any canonical pair, not only a row of the lemma chain, steps to the
+# canonical pair with no reducing pass: n/2 at p = 1 gives 3n/4 + n^2/4,
+# (3, 1) over 4.
 @example([F(1, 2)], False, 1)
-def test_step_on_random_polynomials_gives_the_canonical_reference(terms, zero_constant, p):
-    f = polynomial([0, *terms] if zero_constant else terms)
+def test_step_on_random_polynomials_gives_the_canonical_reference(terms, zero_linear, p):
+    f = polynomial([0, *terms] if zero_linear else terms)
     assume(f)
     numerators, d = advanced = integration_step(scaled(f), p)
     assert type(d) is int and all(type(c) is int for c in numerators)
@@ -180,31 +179,11 @@ def test_step_on_random_polynomials_gives_the_canonical_reference(terms, zero_co
 def test_rows_for_small_degrees():
     assert integration_coefficients(0).coefficients == (F(1),)
     assert integration_coefficients(3).coefficients == (F(0), F(1, 4), F(1, 2), F(1, 4))
+    assert integration_coefficients(3, direct_coefficients(3)) == direct_coefficients(3)
 
 
 def test_agrees_with_direct_path():
     assert integration_coefficients(12) == direct_coefficients(12)
-
-
-def test_constant_coefficient_stays_exactly_zero():
-    f = scaled(polynomial([0, 1]))
-    for i in range(1, 21):
-        f = integration_step(f, i)
-        assert f[0][0] == 0
-
-
-def test_row_conversion_requires_zero_constant(monkeypatch):
-    # A step that leaves a constant term: the row is refused, not truncated.
-    genuine = integration_step
-
-    def leaves_a_constant(f, i):
-        numerators, d = genuine(f, i)
-        return (d, *numerators[1:]), d
-
-    monkeypatch.setattr(faulhaber.integration, "integration_step", leaves_a_constant)
-    with pytest.raises(ValueError, match="nonzero constant coefficient 1;"):
-        integration_coefficients(3)
-    assert integration_coefficients(3, direct_coefficients(3)) == direct_coefficients(3)
 
 
 def test_row_polynomial_round_trip():

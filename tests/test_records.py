@@ -2,14 +2,15 @@
 equality within one class, immutability and hashing of the three frozen
 ones, and the validation of `CoefficientRow` and `BernoulliTable`."""
 import copy
+import numbers
 import pickle
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from faulhaber import BernoulliTable, CoefficientRow, OpCounter
-from faulhaber.cli import Mismatch, VerifyReport
+from faulhaber import BernoulliTable, CoefficientRow, OpCounter, direct_coefficients
+from faulhaber.cli import Mismatch, VerifyReport, format_plain
 
 F = Fraction
 
@@ -111,6 +112,17 @@ def test_op_counter_starts_at_zero():
     assert OpCounter() == OpCounter(0, 0)
 
 
+class Ratio:
+    """A rational of another type, registered as `numbers.Rational` without
+    `as_integer_ratio`, as numpy's integers are."""
+
+    def __repr__(self):
+        return "Ratio(1)"
+
+
+numbers.Rational.register(Ratio)
+
+
 @pytest.mark.parametrize(
     "cls, fields, message",
     [
@@ -120,14 +132,33 @@ def test_op_counter_starts_at_zero():
          "coefficient of n^1 is not a Fraction or int: 0.5"),
         (CoefficientRow, (1, (F(1, 2), Decimal("0.5"))),
          "coefficient of n^2 is not a Fraction or int: Decimal('0.5')"),
+        (CoefficientRow, (0, (Ratio(),)), "coefficient of n^1 is not a Fraction or int: Ratio(1)"),
         (BernoulliTable, ((),), "a table holds b_0 at least, got no numbers"),
         (BernoulliTable, ((F(1), F(1, 2), F(1, 6)),),
          "a table stores b_1 = -1/2, got b_1 = 1/2"),
     ],
     ids=["row-negative-degree", "row-too-short", "row-float-entry", "row-decimal-entry",
-         "table-too-short", "table-b1-conflated"],
+         "row-registered-rational", "table-too-short", "table-b1-conflated"],
 )
 def test_records_reject_malformed_fields(cls, fields, message):
     with pytest.raises(ValueError) as excinfo:
         cls(*fields)
     assert str(excinfo.value) == message
+
+
+def test_a_row_keeps_no_reference_to_the_callers_list():
+    entries = [F(1, 2), F(1, 2)]
+    row = CoefficientRow(1, entries)
+    entries[0] = F(7)
+    assert type(row.coefficients) is tuple
+    assert format_plain(row) == "a_1=1/2 a_2=1/2"
+    assert direct_coefficients(2, start=row) == direct_coefficients(2)
+
+
+@pytest.mark.parametrize("values", [[F(1), F(-1, 2), F(1, 6)], [F(1)]])
+def test_a_table_stores_a_tuple_of_a_list(values):
+    table = BernoulliTable(values)
+    assert table.values_minus == tuple(values) and type(table.values_minus) is tuple
+    assert table == BernoulliTable(tuple(values)) and table.limit == len(values) - 1
+    values[0] = F(7)
+    assert table.values_minus[0] == 1
