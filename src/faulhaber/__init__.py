@@ -12,20 +12,44 @@ pair.  The paper's operation counts belong to the direct recurrence, so
 `direct` also holds `OpCounter`, the tally it keeps.
 All arithmetic is exact rational; there is no floating point.
 
-The package exports the `__all__` of each of these modules.
+The package exports the `__all__` of each of these modules.  Each export
+resolves on first access, loading only the module that defines it, so
+`import faulhaber` loads none of them and a command of the CLI loads only
+the modules it runs.
 """
-from .bernoulli import *
-from .direct import *
-from .integration import *
-from .oracle import *
-from .rationals import *
-
 __version__ = "0.1.0"
 
-__all__ = (
-    bernoulli.__all__
-    + direct.__all__
-    + integration.__all__
-    + oracle.__all__
-    + rationals.__all__
-)
+# export -> the module that defines it
+_EXPORTS = {
+    "BernoulliTable": "bernoulli",
+    "bernoulli_numbers": "bernoulli",
+    "faulhaber_via_bernoulli": "bernoulli",
+    "bernoulli_polynomial": "bernoulli",
+    "IdentityValues": "bernoulli",
+    "check_power_sum_identity": "bernoulli",
+    "check_integral_identity": "bernoulli",
+    "check_difference_identity": "bernoulli",
+    "OpCounter": "direct",
+    "direct_coefficients": "direct",
+    "integration_coefficients": "integration",
+    "power_sum_bruteforce": "oracle",
+    "evaluate_row": "oracle",
+    "ZERO": "rationals",
+    "ONE": "rationals",
+    "CoefficientRow": "rationals",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *__all__])

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .oracle import power_sum_bruteforce
-from .rationals import ONE, ZERO, CoefficientRow, FrozenRecord, horner, scaled
+from .rationals import ONE, ZERO, CoefficientRow, FrozenRecord, exact, horner, scaled
 
 __all__ = [
     "BernoulliTable",
@@ -52,13 +52,14 @@ class BernoulliTable(FrozenRecord):
 
     values_minus[1] == -1/2; `values_plus` is read from it, with b_1 = +1/2
     and every other entry the same object.  Odd indices >= 3 are zero.
+    Each entry is a `Fraction` or an int, stored as a `Fraction`.
     """
 
     __slots__ = ("values_minus",)
     values_minus: tuple[Fraction, ...]
 
     def __init__(self, values_minus: tuple[Fraction, ...]) -> None:
-        values_minus = tuple(values_minus)
+        values_minus = exact(tuple(values_minus), "b_{}".format)
         if not values_minus:
             raise ValueError("a table holds b_0 at least, got no numbers")
         if values_minus[1:2] not in ((), (Fraction(-1, 2),)):

@@ -15,25 +15,17 @@ scripting contract: 0 success, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 import time
-from collections.abc import Callable, Iterable, Iterator
-from fractions import Fraction
 
-from .bernoulli import (
-    IdentityValues,
-    bernoulli_numbers,
-    check_difference_identity,
-    check_integral_identity,
-    check_power_sum_identity,
-    faulhaber_via_bernoulli,
-)
-from .direct import OpCounter, direct_coefficients
-from .integration import integration_coefficients
-from .oracle import evaluate_row, power_sum_bruteforce
-from .rationals import CoefficientRow, FrozenRecord, Record
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # for annotations only: importing the CLI loads no path
+    from collections.abc import Callable
+
+    from .bernoulli import BernoulliTable
+    from .direct import OpCounter
+    from .rationals import CoefficientRow
 
 __all__ = [
     "METHODS",
@@ -47,12 +39,45 @@ __all__ = [
     "main",
 ]
 
+
+def __getattr__(name: str) -> object:
+    # The names of `__all__` not defined here are defined in `_verify`, which
+    # only `verify` and `bench` load.
+    if name in __all__:
+        from . import _verify
+
+        return getattr(_verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 # Coefficient paths selectable with --method, in the order verify compares
-# them.
-METHODS: dict[str, Callable[[int], CoefficientRow]] = {
-    "direct": direct_coefficients,
-    "lemma": integration_coefficients,
-    "bernoulli": faulhaber_via_bernoulli,
+# them.  Each loads its own path's module only, when first called, and looks
+# the path up there at every call, where a tracer or a test may replace it.
+
+
+def _direct(p: int, counter: OpCounter | None = None,
+            start: CoefficientRow | None = None) -> CoefficientRow:
+    from . import direct
+
+    return direct.direct_coefficients(p, counter, start)
+
+
+def _lemma(p: int, start: CoefficientRow | None = None) -> CoefficientRow:
+    from . import integration
+
+    return integration.integration_coefficients(p, start)
+
+
+def _bernoulli(p: int, table: BernoulliTable | None = None) -> CoefficientRow:
+    from . import bernoulli
+
+    return bernoulli.faulhaber_via_bernoulli(p, table)
+
+
+METHODS: dict[str, Callable[..., CoefficientRow]] = {
+    "direct": _direct,
+    "lemma": _lemma,
+    "bernoulli": _bernoulli,
 }
 
 # Anything above this is almost certainly an accidental runaway job, but it
@@ -63,28 +88,6 @@ SOFT_DEGREE_LIMIT = 10000
 # took 0.1 s for p = 1, about 1 s for p = 40-50 and 1.3 s for p = 60
 # (Python 3.11.7, best of 3).  Above it, the check warns as the guard does.
 BRUTE_FORCE_LIMIT = 10**6
-
-# Fixed default ranges for the identity checks run by `verify`; each check
-# runs over every combination of its ranges.
-POWER_SUM_IDENTITY_RANGE = (range(1, 31), range(1, 21))  # p, n
-INTEGRAL_IDENTITY_ENDPOINTS = (
-    Fraction(0),
-    Fraction(1),
-    Fraction(1, 2),
-    Fraction(-1),
-    Fraction(2),
-)
-INTEGRAL_IDENTITY_RANGE = (  # i, a, b
-    range(0, 31), INTEGRAL_IDENTITY_ENDPOINTS, INTEGRAL_IDENTITY_ENDPOINTS)
-DIFFERENCE_IDENTITY_RANGE = (range(2, 31), range(0, 21))  # i, n
-
-
-def predicted_additions(p: int) -> int:
-    return p * (p + 1) // 2 + p
-
-
-def predicted_multiplications(p: int) -> int:
-    return p * (p + 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -136,183 +139,6 @@ FORMATTERS: dict[str, Callable[[CoefficientRow], str]] = {
 
 
 # ---------------------------------------------------------------------------
-# Cross-verification
-
-
-class Mismatch(FrozenRecord):
-    """First point of disagreement between two paths at one degree."""
-
-    __slots__ = ("p", "pair", "power")
-    p: int
-    pair: str
-    power: int  # 1-based power j whose coefficient a_j differs first
-
-    def __init__(self, p: int, pair: str, power: int) -> None:
-        super().__init__(p, pair, power)
-
-
-class VerifyReport(Record):
-    __slots__ = ("p_max", "mismatches", "op_count_ok", "identity_tallies")
-    p_max: int
-    mismatches: tuple[Mismatch, ...]
-    op_count_ok: tuple[bool, ...]  # indexed by p = 0..p_max
-    identity_tallies: dict[str, tuple[int, int]]  # label -> (checked, failed)
-
-    def __init__(
-        self,
-        p_max: int,
-        mismatches: tuple[Mismatch, ...],
-        op_count_ok: tuple[bool, ...],
-        identity_tallies: dict[str, tuple[int, int]],
-    ) -> None:
-        self.p_max = p_max
-        self.mismatches = mismatches
-        self.op_count_ok = op_count_ok
-        self.identity_tallies = identity_tallies
-
-    @property
-    def passed(self) -> bool:
-        return (
-            not self.mismatches
-            and all(self.op_count_ok)
-            and all(failed == 0 for _, failed in self.identity_tallies.values())
-        )
-
-    def render(self) -> str:
-        lines = ["cross-verification report"]
-        lines.append(f"  degrees:      p = 0..{self.p_max}")
-        lines.append(f"  paths:        {', '.join(METHODS)}")
-        pairs = len(METHODS) * (len(METHODS) - 1) // 2
-        if self.mismatches:
-            lines.append(f"  row equality: {len(self.mismatches)} mismatch(es)")
-            for m in self.mismatches:
-                lines.append(
-                    f"    p={m.p} {m.pair}: coefficients differ first at a_{m.power}"
-                )
-        else:
-            lines.append(
-                f"  row equality: OK ({self.p_max + 1} degrees, {pairs} path pairs)"
-            )
-        bad_counts = [p for p, ok in enumerate(self.op_count_ok) if not ok]
-        if bad_counts:
-            lines.append(
-                "  op counts:    FAIL at p = "
-                + ", ".join(str(p) for p in bad_counts)
-            )
-        else:
-            lines.append(
-                "  op counts:    OK (additions p(p+1)/2 + p, "
-                "multiplications p(p+1)/2)"
-            )
-        for label, (checked, failed) in self.identity_tallies.items():
-            status = "OK" if failed == 0 else "FAIL"
-            lines.append(f"  {label + ':':<22}{status} ({checked} checked, {failed} failed)")
-        lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines)
-
-
-def _first_difference(a: CoefficientRow, b: CoefficientRow) -> int | None:
-    """1-based power of the first differing coefficient, or None if equal."""
-    if a == b:  # the usual case: the canonical pairs compare as ints
-        return None
-    da, db = a.denominator, b.denominator
-    for j, (na, nb) in enumerate(zip(a.numerators, b.numerators), start=1):
-        if na * db != nb * da:
-            return j
-    # Equal through the shorter row: the rows differ in length, or one pair
-    # is equal in value but not reduced.
-    return min(len(a.numerators), len(b.numerators)) + 1
-
-
-def _tally(check: Callable[..., bool], *ranges: Iterable) -> tuple[int, int]:
-    """(checked, failed) of `check` over every combination of `ranges`."""
-    results = [check(*args) for args in itertools.product(*ranges)]
-    return len(results), results.count(False)
-
-
-def _identity_tallies() -> dict[str, tuple[int, int]]:
-    # The checks are looked up at call time, not kept in a table built at
-    # import: a tracer that swaps the module globals must see every call.
-    # Each takes one IdentityValues through the highest index the families
-    # read (the integral identity reads B_{i+1}) as its last argument.
-    values = (IdentityValues(max(POWER_SUM_IDENTITY_RANGE[0][-1],
-                                 INTEGRAL_IDENTITY_RANGE[0][-1] + 1,
-                                 DIFFERENCE_IDENTITY_RANGE[0][-1])),)
-    return {
-        "power-sum identity": _tally(check_power_sum_identity, *POWER_SUM_IDENTITY_RANGE, values),
-        "integral identity": _tally(check_integral_identity, *INTEGRAL_IDENTITY_RANGE, values),
-        "difference identity": _tally(
-            check_difference_identity, *DIFFERENCE_IDENTITY_RANGE, values),
-    }
-
-
-def _counted_pass(
-    degrees: Iterable[int],
-) -> Iterator[tuple[int, CoefficientRow, int, int, bool]]:
-    """Direct rows for the ascending `degrees` on one running counter, each
-    continued from the row before: after each p, yield p, its row, the
-    additions and multiplications so far (those of building row p from
-    scratch) and whether they match the formulas."""
-    counter = OpCounter()
-    row = None
-    for p in degrees:
-        row = direct_coefficients(p, counter, row)
-        counts = counter.additions, counter.multiplications
-        yield p, row, *counts, counts == (predicted_additions(p), predicted_multiplications(p))
-
-
-def run_verification(p_max: int) -> VerifyReport:
-    """Compare every path pair for p = 0..p_max, check op counts against the
-    quadratic formulas, and run the identity checks over their default
-    ranges.
-
-    One ascending pass over the degrees.  At each p the counted pass of
-    `bench` builds the direct row, the lemma row continues from the one
-    before, and the Bernoulli row reads one table built for p_max; the three
-    rows are then compared pairwise.
-    """
-    if p_max < 0:
-        raise ValueError(f"p_max must be >= 0, got {p_max}")
-    # The paths are looked up at call time: tests and the tracer swap these
-    # module globals.
-    table = bernoulli_numbers(p_max)
-    lemma = None
-    op_count_ok = []
-    mismatches = []
-    for p, direct, *_, ok in _counted_pass(range(p_max + 1)):
-        op_count_ok.append(ok)
-        lemma = integration_coefficients(p, lemma)
-        rows = {"direct": direct, "lemma": lemma, "bernoulli": faulhaber_via_bernoulli(p, table)}
-        for name_a, name_b in itertools.combinations(rows, 2):
-            power = _first_difference(rows[name_a], rows[name_b])
-            if power is not None:
-                mismatches.append(Mismatch(p, f"{name_a} vs {name_b}", power))
-
-    return VerifyReport(
-        p_max=p_max,
-        mismatches=tuple(mismatches),
-        op_count_ok=tuple(op_count_ok),
-        identity_tallies=_identity_tallies(),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Benchmark
-
-
-def bench_schedule(p_max: int) -> list[int]:
-    """0, then powers of two, then p_max itself."""
-    points = [0]
-    step = 1
-    while step < p_max:
-        points.append(step)
-        step *= 2
-    if p_max > 0:
-        points.append(p_max)
-    return points
-
-
-# ---------------------------------------------------------------------------
 # Argument parsing and handlers
 
 
@@ -359,17 +185,19 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from . import oracle
+
     _warn_if_huge("p", args.p, SOFT_DEGREE_LIMIT)
     if args.check:
         _warn_if_huge("n", args.n, BRUTE_FORCE_LIMIT)
-    value = evaluate_row(METHODS["direct"](args.p), args.n)
+    value = oracle.evaluate_row(METHODS["direct"](args.p), args.n)
     if value.denominator != 1:
         print(
             f"error: coefficient evaluation produced the non-integer {value}",
             file=sys.stderr,
         )
         return 1
-    if args.check and value != power_sum_bruteforce(args.p, args.n):
+    if args.check and value != oracle.power_sum_bruteforce(args.p, args.n):
         print(
             f"error: coefficient value {value} disagrees with the brute-force sum",
             file=sys.stderr,
@@ -380,13 +208,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import _verify
+
     _warn_if_huge("p", args.p_max, SOFT_DEGREE_LIMIT)
-    report = run_verification(args.p_max)
+    report = _verify.run_verification(args.p_max)
     print(report.render())
     return 0 if report.passed else 1
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from . import _verify
+
     _warn_if_huge("p", args.p_max, SOFT_DEGREE_LIMIT)
     header = (
         f"{'p':>6} {'additions':>12} {'multiplications':>16} "
@@ -397,11 +229,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # `seconds` is the time from the start of the pass to degree p, that is
     # of building row p from scratch.
     start = time.perf_counter()
-    for p, _, additions, multiplications, ok in _counted_pass(bench_schedule(args.p_max)):
+    for p, _, additions, multiplications, ok in _verify.counted_pass(
+            _verify.bench_schedule(args.p_max)):
         elapsed = time.perf_counter() - start
         all_match &= ok
-        print(f"{p:>6} {additions:>12} {multiplications:>16} {predicted_additions(p):>14} "
-              f"{predicted_multiplications(p):>14} {elapsed:>10.6f}")
+        print(f"{p:>6} {additions:>12} {multiplications:>16} "
+              f"{_verify.predicted_additions(p):>14} "
+              f"{_verify.predicted_multiplications(p):>14} {elapsed:>10.6f}")
     if not all_match:
         print("error: measured operation counts deviate from the formulas",
               file=sys.stderr)
@@ -410,8 +244,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
+    from . import bernoulli
+
     _warn_if_huge("m", args.m, SOFT_DEGREE_LIMIT)
-    table = bernoulli_numbers(args.m)
+    table = bernoulli.bernoulli_numbers(args.m)
     values = table.values_plus if args.convention == "plus" else table.values_minus
     for i, value in enumerate(values):
         print(f"{i}: {value}")

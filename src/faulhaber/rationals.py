@@ -8,6 +8,7 @@ this module, so none of them loads another's arithmetic.  It holds:
 
 - the record bases `Record` and `FrozenRecord`, the `CoefficientRow`
   every path returns, and `start_row`, the row both recurrences resume from;
+- `exact`, the check both records with rational entries run on them;
 - `scaled`, which puts reduced fractions over their least common
   denominator: the `Scaled` pair every row and polynomial is held as;
 - `horner`, the exact value of a polynomial held as integers over one
@@ -15,6 +16,7 @@ this module, so none of them loads another's arithmetic.  It holds:
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from math import lcm
 
@@ -38,6 +40,18 @@ def scaled(ratios: list[tuple[int, int]]) -> Scaled:
     in some entry's denominator, over a numerator prime to it."""
     d = lcm(*[den for _, den in ratios])
     return tuple([num * (d // den) for num, den in ratios]), d
+
+
+def exact(entries: tuple, name: Callable[[int], str]) -> tuple[Fraction, ...]:
+    """`entries`, each int turned into a Fraction.  Any entry of another type,
+    a float, a `Decimal` or a numpy integer, raises ValueError naming it by
+    `name(index)`: no record holds an inexact number."""
+    if set(map(type, entries)) - {Fraction}:  # entries all Fractions skip the checks
+        for k, c in enumerate(entries):
+            if not isinstance(c, (Fraction, int)):
+                raise ValueError(f"{name(k)} is not a Fraction or int: {c!r}")
+        entries = tuple([Fraction(c) if isinstance(c, int) else c for c in entries])
+    return entries
 
 
 # Plain value records, the package's data classes without `dataclasses`,
@@ -141,12 +155,8 @@ class CoefficientRow(FrozenRecord):
                 f"a row of degree {degree} holds {degree + 1} "
                 f"coefficients, got {len(coefficients)}"
             )
-        coefficients = tuple(coefficients)  # the caller's list stays the caller's
-        if set(map(type, coefficients)) - {Fraction}:  # a row of Fractions skips the checks
-            for power, c in enumerate(coefficients, 1):
-                if not isinstance(c, (Fraction, int)):
-                    raise ValueError(f"coefficient of n^{power} is not a Fraction or int: {c!r}")
-            coefficients = tuple([Fraction(c) if isinstance(c, int) else c for c in coefficients])
+        # A tuple: the caller's list stays the caller's.
+        coefficients = exact(tuple(coefficients), lambda k: f"coefficient of n^{k + 1}")
         numerators, d = scaled([c.as_integer_ratio() for c in coefficients])
         super().__init__(degree, numerators, d, coefficients)
 

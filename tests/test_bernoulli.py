@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import faulhaber.bernoulli
-from faulhaber import cli
+from faulhaber import _verify
 from faulhaber import (
     BernoulliTable,
     IdentityValues,
@@ -280,9 +280,9 @@ def difference_by_fractions(i, n, values):
 
 
 IDENTITY_FAMILIES = [
-    (check_power_sum_identity, power_sum_by_fractions, cli.POWER_SUM_IDENTITY_RANGE),
-    (check_integral_identity, integral_by_fractions, cli.INTEGRAL_IDENTITY_RANGE),
-    (check_difference_identity, difference_by_fractions, cli.DIFFERENCE_IDENTITY_RANGE),
+    (check_power_sum_identity, power_sum_by_fractions, _verify.POWER_SUM_IDENTITY_RANGE),
+    (check_integral_identity, integral_by_fractions, _verify.INTEGRAL_IDENTITY_RANGE),
+    (check_difference_identity, difference_by_fractions, _verify.DIFFERENCE_IDENTITY_RANGE),
 ]
 
 

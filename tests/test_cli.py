@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import faulhaber.bernoulli
+import faulhaber.direct
 import faulhaber.integration
 from faulhaber import CoefficientRow
-from faulhaber import cli
+from faulhaber import _verify, cli
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +92,10 @@ def test_emitted_values_round_trip_exactly(capsys, p, method, fmt):
     assert [Fraction(text) for text in texts] == list(row.coefficients)
     for text, c in zip(texts, row.coefficients):
         assert ("/" in text) == (c.denominator != 1)  # integers print bare
+
+
+def test_methods_are_the_paths_in_verify_order():
+    assert tuple(cli.METHODS) == _verify.PATHS
 
 
 def test_eval_values(capsys):
@@ -175,6 +180,16 @@ def test_usage_errors_exit_2(capsys, argv):
     assert capsys.readouterr().err != ""
 
 
+@pytest.mark.parametrize("command", [[], ["coeffs"], ["eval"], ["verify"], ["bench"],
+                                     ["bernoulli"]])
+def test_help_exits_0_with_its_usage(capsys, command):
+    # The parser is built before any path is loaded; its help must still print.
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*command, "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith(" ".join(["usage: faulhaber", *command]))
+
+
 @pytest.mark.parametrize("n", ["-1", "-0"])
 def test_negative_n_is_refused_with_its_own_bound(capsys, n):
     # n starts at 1, p at 0: the message names n's bound whatever the sign.
@@ -210,14 +225,47 @@ def test_bernoulli_default_reaches_minus_one_thirtieth(capsys):
     ((1, 2, 3, 4), (1, 2, 3), 4),
     ((7,), (1, 2), 1),
     # Equal in value to (1/2, 1/2) but not its canonical pair: the rows
-    # compare unequal, so the mismatch is reported, past the last entry.
-    (CoefficientRow.from_scaled((2, 2), 4), (Fraction(1, 2), Fraction(1, 2)), 3),
+    # compare unequal, yet no coefficient differs.
+    (CoefficientRow.from_scaled((2, 2), 4), (Fraction(1, 2), Fraction(1, 2)), None),
 ])
 def test_first_difference(a, b, power):
     rows = [c if isinstance(c, CoefficientRow) else
             CoefficientRow(len(c) - 1, tuple(map(Fraction, c))) for c in (a, b)]
-    assert cli._first_difference(*rows) == power
-    assert cli._first_difference(*reversed(rows)) == power
+    assert _verify._first_difference(*rows) == power
+    assert _verify._first_difference(*reversed(rows)) == power
+
+
+def test_report_renders_each_kind_of_mismatch():
+    report = _verify.VerifyReport(
+        p_max=3,
+        mismatches=(_verify.Mismatch(1, "direct vs lemma", None),
+                    _verify.Mismatch(3, "lemma vs bernoulli", 2)),
+        op_count_ok=(True,) * 4,
+        identity_tallies={},
+    )
+    assert report.render().splitlines()[3:6] == [
+        "  row equality: 2 mismatch(es)",
+        "    p=1 direct vs lemma: coefficients equal, but a pair is not reduced",
+        "    p=3 lemma vs bernoulli: coefficients differ first at a_2",
+    ]
+
+
+def test_verify_reports_a_pair_that_is_not_reduced(capsys, monkeypatch):
+    genuine = faulhaber.integration.integration_coefficients
+
+    def doubled_pair(p, start=None):
+        row = genuine(p)
+        if p != 1:
+            return row
+        return CoefficientRow.from_scaled(tuple(2 * c for c in row.numerators),
+                                          2 * row.denominator)
+
+    monkeypatch.setattr(faulhaber.integration, "integration_coefficients", doubled_pair)
+    code, out, _ = run_cli(capsys, "verify", "3")
+    assert code == 1
+    assert "  row equality: 2 mismatch(es)\n" in out
+    assert "    p=1 direct vs lemma: coefficients equal, but a pair is not reduced\n" in out
+    assert "    p=1 lemma vs bernoulli: coefficients equal, but a pair is not reduced\n" in out
 
 
 def test_verify_trivial_range_passes(capsys):
@@ -227,7 +275,7 @@ def test_verify_trivial_range_passes(capsys):
 
 
 def test_verify_locates_injected_fault(capsys, monkeypatch):
-    genuine = cli.integration_coefficients
+    genuine = faulhaber.integration.integration_coefficients
 
     def flip_one_coefficient(p, start=None):
         # Built from scratch, so the wrong row 7 is not carried on to row 8.
@@ -238,7 +286,7 @@ def test_verify_locates_injected_fault(capsys, monkeypatch):
         coeffs[2] += Fraction(1, 2)
         return CoefficientRow(row.degree, tuple(coeffs))
 
-    monkeypatch.setattr(cli, "integration_coefficients", flip_one_coefficient)
+    monkeypatch.setattr(faulhaber.integration, "integration_coefficients", flip_one_coefficient)
     code, out, _ = run_cli(capsys, "verify", "10")
     assert code == 1
     assert "result: FAIL" in out
@@ -248,12 +296,12 @@ def test_verify_locates_injected_fault(capsys, monkeypatch):
 
 
 def test_verify_locates_wrong_operation_count(capsys, monkeypatch):
-    genuine = cli.predicted_multiplications
+    genuine = _verify.predicted_multiplications
 
     def off_by_one_at_five(p):
         return genuine(p) + (p == 5)
 
-    monkeypatch.setattr(cli, "predicted_multiplications", off_by_one_at_five)
+    monkeypatch.setattr(_verify, "predicted_multiplications", off_by_one_at_five)
     code, out, _ = run_cli(capsys, "verify", "8")
     assert code == 1
     assert "  op counts:    FAIL at p = 5\n" in out
@@ -299,12 +347,12 @@ def test_identity_phase_evaluates_each_polynomial_once_per_point(monkeypatch):
 
     monkeypatch.setattr(faulhaber.bernoulli, "horner", counted)
     pairs = set()
-    for p, n in itertools.product(*cli.POWER_SUM_IDENTITY_RANGE):
+    for p, n in itertools.product(*_verify.POWER_SUM_IDENTITY_RANGE):
         pairs |= {("B", p, Fraction(n + 1)), ("B", p, Fraction(1))}
-    for i, a, b in itertools.product(*cli.INTEGRAL_IDENTITY_RANGE):
+    for i, a, b in itertools.product(*_verify.INTEGRAL_IDENTITY_RANGE):
         pairs |= {("antiderivative", i, a), ("antiderivative", i, b)}
         pairs |= {("B", i + 1, a), ("B", i + 1, b)}
-    for i, n in itertools.product(*cli.DIFFERENCE_IDENTITY_RANGE):
+    for i, n in itertools.product(*_verify.DIFFERENCE_IDENTITY_RANGE):
         pairs |= {("B", i, Fraction(n + 1)), ("B", i, Fraction(n))}
     tallies = {
         "power-sum identity": (600, 0),
@@ -313,10 +361,10 @@ def test_identity_phase_evaluates_each_polynomial_once_per_point(monkeypatch):
     }
 
     assert len(pairs) == 880
-    assert cli._identity_tallies() == tallies
+    assert _verify._identity_tallies() == tallies
     assert len(evaluations) == 880
     evaluations.clear()
-    assert cli._identity_tallies() == tallies
+    assert _verify._identity_tallies() == tallies
     assert len(evaluations) == 880
 
 
@@ -333,7 +381,7 @@ def test_identity_phase_builds_one_table_and_each_polynomial_once(monkeypatch):
             return genuine(*args)
 
         monkeypatch.setattr(faulhaber.bernoulli, name, counted)
-    assert all(failed == 0 for _, failed in cli._identity_tallies().values())
+    assert all(failed == 0 for _, failed in _verify._identity_tallies().values())
     assert calls == [("bernoulli_numbers", 31)] + [("bernoulli_polynomial", i) for i in range(32)]
 
 
@@ -341,13 +389,13 @@ def test_verify_builds_each_direct_row_once(monkeypatch):
     # The counted pass continues each row from the one before, so the degrees
     # its calls advance sum to p_max, and the comparisons use its rows.
     advanced = []
-    genuine = cli.direct_coefficients
+    genuine = faulhaber.direct.direct_coefficients
 
     def counted(p, counter=None, start=None):
         advanced.append(p - (0 if start is None else start.degree))
         return genuine(p, counter, start)
 
-    monkeypatch.setattr(cli, "direct_coefficients", counted)
+    monkeypatch.setattr(faulhaber.direct, "direct_coefficients", counted)
     report = cli.run_verification(40)
     assert report.passed
     assert len(advanced) == 41 and sum(advanced) == 40
@@ -368,18 +416,19 @@ def test_verify_never_rebuilds_fractions_from_a_pair(monkeypatch):
     monkeypatch.setattr(CoefficientRow, "coefficients", property(counted))
     assert cli.run_verification(40).passed
     assert built == []
-    assert cli.integration_coefficients(3).coefficients == (0, Fraction(1, 4), Fraction(1, 2),
+    assert faulhaber.integration.integration_coefficients(3).coefficients == (0, Fraction(1, 4), Fraction(1, 2),
                                                             Fraction(1, 4))
     assert len(built) == 4
 
 
 def test_verify_carries_the_lemma_row_and_reads_one_table(monkeypatch):
     # The lemma pass takes one integration step per degree, and every
-    # Bernoulli row reads the one table built for p_max.
+    # Bernoulli row reads the one table built for p_max.  The only other
+    # table is the identity phase's, through B_31.
     steps, numbers, limits = [], [], []
     genuine_step = faulhaber.integration.integration_step
-    genuine_numbers = cli.bernoulli_numbers
-    genuine_row = cli.faulhaber_via_bernoulli
+    genuine_numbers = faulhaber.bernoulli.bernoulli_numbers
+    genuine_row = faulhaber.bernoulli.faulhaber_via_bernoulli
 
     def counted_step(f, i):
         steps.append(i)
@@ -394,12 +443,12 @@ def test_verify_carries_the_lemma_row_and_reads_one_table(monkeypatch):
         return genuine_row(p, table)
 
     monkeypatch.setattr(faulhaber.integration, "integration_step", counted_step)
-    monkeypatch.setattr(cli, "bernoulli_numbers", counted_numbers)
-    monkeypatch.setattr(cli, "faulhaber_via_bernoulli", recorded_row)
+    monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_numbers", counted_numbers)
+    monkeypatch.setattr(faulhaber.bernoulli, "faulhaber_via_bernoulli", recorded_row)
     report = cli.run_verification(40)
     assert report.passed
     assert steps == list(range(1, 41))
-    assert numbers == [40]
+    assert numbers == [40, 31]
     assert limits == [40] * 41
 
 
@@ -454,9 +503,9 @@ def test_bench_counts_match_predictions(capsys):
 
 
 def test_bench_reports_wrong_operation_count(capsys, monkeypatch):
-    genuine = cli.predicted_multiplications
+    genuine = _verify.predicted_multiplications
     monkeypatch.setattr(
-        cli, "predicted_multiplications", lambda p: genuine(p) + (p == 4))
+        _verify, "predicted_multiplications", lambda p: genuine(p) + (p == 4))
     code, out, err = run_cli(capsys, "bench", "8")
     assert code == 1
     assert err == "error: measured operation counts deviate from the formulas\n"

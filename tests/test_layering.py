@@ -1,6 +1,8 @@
 """The import graph keeps the paths independent: the three computation paths
 and the oracle share only the plumbing of `rationals`, and no path loads
-another path's arithmetic."""
+another path's arithmetic.  Only `_verify`, the machinery of `verify` and
+`bench`, and `cli`, which imports each module where a command runs it, load
+several paths."""
 import ast
 from pathlib import Path
 
@@ -18,6 +20,8 @@ ALLOWED = {
     "integration": {"rationals"},
     "oracle": {"rationals"},
     "bernoulli": {"rationals", "oracle"},
+    "_verify": {"rationals", "direct", "integration", "bernoulli"},
+    "cli": {"rationals", "direct", "integration", "bernoulli", "oracle", "_verify"},
 }
 
 

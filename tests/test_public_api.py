@@ -11,10 +11,12 @@ import pytest
 
 import faulhaber
 
+# The modules with a public surface: not `__main__`, nor `_verify`, which
+# holds the machinery of `verify` and `bench` behind `faulhaber.cli`.
 MODULES = sorted(
     f"faulhaber.{info.name}"
     for info in pkgutil.iter_modules(faulhaber.__path__)
-    if info.name != "__main__"
+    if not info.name.startswith("_")
 )
 
 
@@ -44,12 +46,16 @@ def test_star_import_binds_exactly_all():
 
 def loaded_names(source):
     """The names `source` reads: each `ast.Name` in load context, the names
-    in annotations included."""
-    return {
-        node.id
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-    }
+    in annotations included, and each attribute read from a name, as
+    `bernoulli.check_power_sum_identity` reads a function on its module."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Name)):
+            names.add(node.attr)
+    return names
 
 
 def test_every_exported_name_has_a_use():

@@ -136,9 +136,14 @@ numbers.Rational.register(Ratio)
         (BernoulliTable, ((),), "a table holds b_0 at least, got no numbers"),
         (BernoulliTable, ((F(1), F(1, 2), F(1, 6)),),
          "a table stores b_1 = -1/2, got b_1 = 1/2"),
+        # -0.5 == F(-1, 2): the b_1 check alone would take this table.
+        (BernoulliTable, ((1.0, -0.5, 0.1),), "b_0 is not a Fraction or int: 1.0"),
+        (BernoulliTable, ((F(1), F(-1, 2), Decimal("0.1")),),
+         "b_2 is not a Fraction or int: Decimal('0.1')"),
     ],
     ids=["row-negative-degree", "row-too-short", "row-float-entry", "row-decimal-entry",
-         "row-registered-rational", "table-too-short", "table-b1-conflated"],
+         "row-registered-rational", "table-too-short", "table-b1-conflated",
+         "table-float-entry", "table-decimal-entry"],
 )
 def test_records_reject_malformed_fields(cls, fields, message):
     with pytest.raises(ValueError) as excinfo:
@@ -162,3 +167,9 @@ def test_a_table_stores_a_tuple_of_a_list(values):
     assert table == BernoulliTable(tuple(values)) and table.limit == len(values) - 1
     values[0] = F(7)
     assert table.values_minus[0] == 1
+
+
+def test_a_table_stores_each_int_as_a_fraction():
+    table = BernoulliTable((1, F(-1, 2), F(1, 6), 0))
+    assert [type(b) for b in table.values_minus] == [Fraction] * 4
+    assert table == BernoulliTable((F(1), F(-1, 2), F(1, 6), F(0)))
