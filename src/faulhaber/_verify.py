@@ -1,35 +1,22 @@
 """Cross-verification and the counted pass behind `verify` and `bench`.
 
-Only those two commands load this module, and it loads every path.  Each
-path function is looked up on its defining module when it is called, never
-bound here at import, so whatever a tracer or a test puts in its place is
-what runs, and nothing of theirs stays behind once they put it back.
+Only those two commands load this module.  It loads every path, and
+`identities`, which owns the identity checks and their ranges and gives
+the tally the report prints.  Each path function is looked up on its
+defining module when it is called, never bound here at import, so whatever
+a tracer or a test puts in its place is what runs, and nothing of theirs
+stays behind once they put it back.
 """
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Iterator
-from fractions import Fraction
+from collections.abc import Iterable, Iterator
 
-from . import bernoulli, direct, integration
+from . import bernoulli, direct, identities, integration
 from .rationals import CoefficientRow, FrozenRecord, Record
 
 # The paths in the order verify compares them; `cli.METHODS` keeps it.
 PATHS = ("direct", "lemma", "bernoulli")
-
-# Fixed default ranges for the identity checks run by `verify`; each check
-# runs over every combination of its ranges.
-POWER_SUM_IDENTITY_RANGE = (range(1, 31), range(1, 21))  # p, n
-INTEGRAL_IDENTITY_ENDPOINTS = (
-    Fraction(0),
-    Fraction(1),
-    Fraction(1, 2),
-    Fraction(-1),
-    Fraction(2),
-)
-INTEGRAL_IDENTITY_RANGE = (  # i, a, b
-    range(0, 31), INTEGRAL_IDENTITY_ENDPOINTS, INTEGRAL_IDENTITY_ENDPOINTS)
-DIFFERENCE_IDENTITY_RANGE = (range(2, 31), range(0, 21))  # i, n
 
 
 def predicted_additions(p: int) -> int:
@@ -127,29 +114,6 @@ def _first_difference(a: CoefficientRow, b: CoefficientRow) -> int | None:
     return None
 
 
-def _tally(check: Callable[..., bool], *ranges: Iterable) -> tuple[int, int]:
-    """(checked, failed) of `check` over every combination of `ranges`."""
-    results = [check(*args) for args in itertools.product(*ranges)]
-    return len(results), results.count(False)
-
-
-def _identity_tallies() -> dict[str, tuple[int, int]]:
-    # Each check takes one IdentityValues through the highest index the
-    # families read (the integral identity reads B_{i+1}) as its last
-    # argument.
-    values = (bernoulli.IdentityValues(max(POWER_SUM_IDENTITY_RANGE[0][-1],
-                                           INTEGRAL_IDENTITY_RANGE[0][-1] + 1,
-                                           DIFFERENCE_IDENTITY_RANGE[0][-1])),)
-    return {
-        "power-sum identity": _tally(
-            bernoulli.check_power_sum_identity, *POWER_SUM_IDENTITY_RANGE, values),
-        "integral identity": _tally(
-            bernoulli.check_integral_identity, *INTEGRAL_IDENTITY_RANGE, values),
-        "difference identity": _tally(
-            bernoulli.check_difference_identity, *DIFFERENCE_IDENTITY_RANGE, values),
-    }
-
-
 def counted_pass(
     degrees: Iterable[int],
 ) -> Iterator[tuple[int, CoefficientRow, int, int, bool]]:
@@ -194,7 +158,7 @@ def run_verification(p_max: int) -> VerifyReport:
         p_max=p_max,
         mismatches=tuple(mismatches),
         op_count_ok=tuple(op_count_ok),
-        identity_tallies=_identity_tallies(),
+        identity_tallies=identities.tallies(),
     )
 
 

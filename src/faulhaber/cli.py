@@ -168,13 +168,20 @@ def _positive(text: str) -> int:
     return _at_least(1, text)
 
 
+def _diagnose(text: str) -> None:
+    # Every diagnostic goes through here.  A closed stderr (`2>&-`) is None
+    # or fails with EBADF: drop the line rather than the command's result.
+    try:
+        if sys.stderr is not None:  # print(file=None) would write to stdout
+            print(text, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _warn_if_huge(name: str, value: int, limit: int) -> None:
     if value > limit:
-        print(
-            f"warning: {name} = {_clip(str(value))} is above {limit}; "
-            "this may take a very long time",
-            file=sys.stderr,
-        )
+        _diagnose(f"warning: {name} = {_clip(str(value))} is above {limit}; "
+                  "this may take a very long time")
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
@@ -192,16 +199,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         _warn_if_huge("n", args.n, BRUTE_FORCE_LIMIT)
     value = oracle.evaluate_row(METHODS["direct"](args.p), args.n)
     if value.denominator != 1:
-        print(
-            f"error: coefficient evaluation produced the non-integer {value}",
-            file=sys.stderr,
-        )
+        _diagnose(f"error: coefficient evaluation produced the non-integer {value}")
         return 1
     if args.check and value != oracle.power_sum_bruteforce(args.p, args.n):
-        print(
-            f"error: coefficient value {value} disagrees with the brute-force sum",
-            file=sys.stderr,
-        )
+        _diagnose(f"error: coefficient value {value} disagrees with the brute-force sum")
         return 1
     print(value.numerator)
     return 0
@@ -237,8 +238,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               f"{_verify.predicted_additions(p):>14} "
               f"{_verify.predicted_multiplications(p):>14} {elapsed:>10.6f}")
     if not all_match:
-        print("error: measured operation counts deviate from the formulas",
-              file=sys.stderr)
+        _diagnose("error: measured operation counts deviate from the formulas")
         return 1
     return 0
 
@@ -316,7 +316,8 @@ def main(argv: list[str] | None = None) -> int:
     status = 0
     try:
         status = args.handler(args)
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None when started with stdout closed (`>&-`)
+            sys.stdout.flush()
     except BrokenPipeError:
         # The reader went away (`faulhaber bernoulli 400 | head -1`): that is
         # no failure of the command.  Point stdout at the null device so the
@@ -327,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         # Ctrl-C: a short diagnostic and the shell's 128 + SIGINT status
         # instead of a traceback.
-        print("interrupted", file=sys.stderr)
+        _diagnose("interrupted")
         return 130
     return status
 

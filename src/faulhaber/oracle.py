@@ -3,8 +3,8 @@ and exact evaluation of a coefficient row.
 
 Every equivalence test in the package bottoms out here — no closed forms,
 no shortcuts.  A row is evaluated on its own integer numerators and
-denominator by `rationals.horner`, the integer Horner scheme the Bernoulli
-identity checks use too.
+denominator by `rationals.horner`, the integer Horner scheme the identity
+checks of `identities` use too.
 """
 from __future__ import annotations
 

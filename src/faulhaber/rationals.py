@@ -12,7 +12,7 @@ this module, so none of them loads another's arithmetic.  It holds:
 - `scaled`, which puts reduced fractions over their least common
   denominator: the `Scaled` pair every row and polynomial is held as;
 - `horner`, the exact value of a polynomial held as integers over one
-  denominator, which the oracle and the Bernoulli identity checks share.
+  denominator, which the oracle and the checks of `identities` share.
 """
 from __future__ import annotations
 

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import faulhaber.bernoulli
-from faulhaber import _verify
+from faulhaber import identities
 from faulhaber import (
     BernoulliTable,
     IdentityValues,
@@ -204,13 +203,13 @@ def test_antiderivatives_are_integrated_once(monkeypatch):
     # One IdentityValues integrates each of B_0..B_31 symbolically exactly
     # once, and checks out of order integrate nothing more.
     integrated = []
-    genuine = faulhaber.bernoulli._integrate_polynomial
+    genuine = identities._integrate_polynomial
 
     def counted(f):
         integrated.append(f)
         return genuine(f)
 
-    monkeypatch.setattr(faulhaber.bernoulli, "_integrate_polynomial", counted)
+    monkeypatch.setattr(identities, "_integrate_polynomial", counted)
     values = IdentityValues(31)
     for i in (30, 3, 0, 17, 30):
         assert all(check_integral_identity(i, a, b, values) for a in ENDPOINTS for b in ENDPOINTS)
@@ -280,9 +279,9 @@ def difference_by_fractions(i, n, values):
 
 
 IDENTITY_FAMILIES = [
-    (check_power_sum_identity, power_sum_by_fractions, _verify.POWER_SUM_IDENTITY_RANGE),
-    (check_integral_identity, integral_by_fractions, _verify.INTEGRAL_IDENTITY_RANGE),
-    (check_difference_identity, difference_by_fractions, _verify.DIFFERENCE_IDENTITY_RANGE),
+    (check_power_sum_identity, power_sum_by_fractions, identities.POWER_SUM_IDENTITY_RANGE),
+    (check_integral_identity, integral_by_fractions, identities.INTEGRAL_IDENTITY_RANGE),
+    (check_difference_identity, difference_by_fractions, identities.DIFFERENCE_IDENTITY_RANGE),
 ]
 
 

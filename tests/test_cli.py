@@ -1,5 +1,6 @@
 """Command-line contract: output formats, exit statuses, cross-verification,
 and the benchmark table."""
+import errno
 import itertools
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 
 import faulhaber.bernoulli
 import faulhaber.direct
+import faulhaber.identities
 import faulhaber.integration
 from faulhaber import CoefficientRow
 from faulhaber import _verify, cli
@@ -339,20 +341,20 @@ def test_identity_phase_evaluates_each_polynomial_once_per_point(monkeypatch):
     # `horner` once per identity phase, an integer point and the equal
     # Fraction endpoint sharing one value; a second phase evaluates them again.
     evaluations = []
-    genuine = faulhaber.bernoulli.horner
+    genuine = faulhaber.identities.horner
 
     def counted(numerators, d, x):
         evaluations.append(x)
         return genuine(numerators, d, x)
 
-    monkeypatch.setattr(faulhaber.bernoulli, "horner", counted)
+    monkeypatch.setattr(faulhaber.identities, "horner", counted)
     pairs = set()
-    for p, n in itertools.product(*_verify.POWER_SUM_IDENTITY_RANGE):
+    for p, n in itertools.product(*faulhaber.identities.POWER_SUM_IDENTITY_RANGE):
         pairs |= {("B", p, Fraction(n + 1)), ("B", p, Fraction(1))}
-    for i, a, b in itertools.product(*_verify.INTEGRAL_IDENTITY_RANGE):
+    for i, a, b in itertools.product(*faulhaber.identities.INTEGRAL_IDENTITY_RANGE):
         pairs |= {("antiderivative", i, a), ("antiderivative", i, b)}
         pairs |= {("B", i + 1, a), ("B", i + 1, b)}
-    for i, n in itertools.product(*_verify.DIFFERENCE_IDENTITY_RANGE):
+    for i, n in itertools.product(*faulhaber.identities.DIFFERENCE_IDENTITY_RANGE):
         pairs |= {("B", i, Fraction(n + 1)), ("B", i, Fraction(n))}
     tallies = {
         "power-sum identity": (600, 0),
@@ -361,10 +363,10 @@ def test_identity_phase_evaluates_each_polynomial_once_per_point(monkeypatch):
     }
 
     assert len(pairs) == 880
-    assert _verify._identity_tallies() == tallies
+    assert faulhaber.identities.tallies() == tallies
     assert len(evaluations) == 880
     evaluations.clear()
-    assert _verify._identity_tallies() == tallies
+    assert faulhaber.identities.tallies() == tallies
     assert len(evaluations) == 880
 
 
@@ -381,7 +383,7 @@ def test_identity_phase_builds_one_table_and_each_polynomial_once(monkeypatch):
             return genuine(*args)
 
         monkeypatch.setattr(faulhaber.bernoulli, name, counted)
-    assert all(failed == 0 for _, failed in _verify._identity_tallies().values())
+    assert all(failed == 0 for _, failed in faulhaber.identities.tallies().values())
     assert calls == [("bernoulli_numbers", 31)] + [("bernoulli_polynomial", i) for i in range(32)]
 
 
@@ -480,6 +482,34 @@ def test_closed_stdout_is_not_a_failure():
     assert proc.wait(timeout=60) == 0
     assert first == b"0: 1\n"
     assert b"Traceback" not in err and b"BrokenPipe" not in err
+
+
+def test_closed_stdout_keeps_the_command_status(monkeypatch, shift_b4_linear):
+    # Started with stdout closed (`>&-`), Python sets `sys.stdout` to None:
+    # `print` then writes nothing, and each command exits with its own status.
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli.main(["verify", "1"]) == 0
+    assert cli.main(["bench", "3"]) == 0
+    shift_b4_linear()
+    assert cli.main(["verify", "1"]) == 1
+
+
+class ClosedStream:
+    """A text stream on a closed descriptor, as `2>&-` leaves `sys.stderr`."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
+@pytest.mark.parametrize("stderr", [None, ClosedStream()], ids=["none", "ebadf"])
+def test_closed_stderr_drops_diagnostics_and_keeps_the_result(capsys, monkeypatch, stderr):
+    # n above BRUTE_FORCE_LIMIT: the check warns before the result is printed.
+    monkeypatch.setattr(sys, "stderr", stderr)
+    code, out, _ = run_cli(capsys, "eval", "1", "2000000", "--check")
+    assert (code, out) == (0, "2000001000000\n")
+    monkeypatch.setattr(_verify, "predicted_multiplications", lambda p: -1)
+    code, out, _ = run_cli(capsys, "bench", "1")
+    assert code == 1 and out.startswith("     p ")
 
 
 def test_bench_schedule_is_geometric():

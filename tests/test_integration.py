@@ -10,7 +10,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from faulhaber import CoefficientRow, direct_coefficients, integration_coefficients
-from faulhaber.bernoulli import _integrate_polynomial as integrate_polynomial
+from faulhaber.identities import _integrate_polynomial as integrate_polynomial
 from faulhaber.integration import integration_step
 from faulhaber.rationals import horner
 

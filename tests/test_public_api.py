@@ -47,7 +47,7 @@ def test_star_import_binds_exactly_all():
 def loaded_names(source):
     """The names `source` reads: each `ast.Name` in load context, the names
     in annotations included, and each attribute read from a name, as
-    `bernoulli.check_power_sum_identity` reads a function on its module."""
+    `bernoulli.bernoulli_polynomial` reads a function on its module."""
     names = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):

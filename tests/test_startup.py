@@ -39,7 +39,9 @@ print("loaded:", *sorted(m for m in sys.modules if m.startswith("faulhaber.")))
 """
 
 EVERYTHING = {"faulhaber.cli", "faulhaber._verify", "faulhaber.rationals", "faulhaber.oracle",
-              "faulhaber.direct", "faulhaber.integration", "faulhaber.bernoulli"}
+              "faulhaber.direct", "faulhaber.integration", "faulhaber.bernoulli",
+              "faulhaber.identities"}
+BERNOULLI = {"faulhaber.cli", "faulhaber.rationals", "faulhaber.bernoulli"}
 
 
 def run_fresh(program, *argv):
@@ -66,14 +68,14 @@ def test_cli_import_loads_no_unneeded_module():
     (("coeffs", "3", "--method", "lemma"),
      {"faulhaber.cli", "faulhaber.rationals", "faulhaber.integration"}),
     (("coeffs", "3"), {"faulhaber.cli", "faulhaber.rationals", "faulhaber.direct"}),
+    (("coeffs", "3", "--method", "bernoulli"), BERNOULLI),
     (("eval", "3", "4"),
      {"faulhaber.cli", "faulhaber.rationals", "faulhaber.direct", "faulhaber.oracle"}),
-    (("bernoulli", "4"),
-     {"faulhaber.cli", "faulhaber.rationals", "faulhaber.oracle", "faulhaber.bernoulli"}),
+    (("bernoulli", "4"), BERNOULLI),
     (("verify", "2"), EVERYTHING),
     (("bench", "2"), EVERYTHING),
-], ids=["import", "usage-error", "help", "coeffs-lemma", "coeffs-direct", "eval", "bernoulli",
-        "verify", "bench"])
+], ids=["import", "usage-error", "help", "coeffs-lemma", "coeffs-direct", "coeffs-bernoulli",
+        "eval", "bernoulli", "verify", "bench"])
 def test_each_command_loads_only_the_modules_it_runs(argv, modules):
     proc = run_fresh(LOADED_PROGRAM, *argv)
     assert proc.returncode == 0, proc.stderr
