@@ -10,11 +10,14 @@ Subcommands:
 
 Results go to stdout, diagnostics to stderr.  Exit statuses are a stable
 scripting contract: 0 success, 1 verification failure, 2 usage error,
-130 interrupted.
+74 output not written (EX_IOERR: `> /dev/full`), 130 interrupted.
+
+The command line is read from one table, as argparse read it; the usage and
+help texts are fixed, so neither the terminal nor the interpreter changes
+them.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
@@ -139,7 +142,7 @@ FORMATTERS: dict[str, Callable[[CoefficientRow], str]] = {
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing and handlers
+# Argument validators and handlers
 
 
 def _clip(text: str) -> str:  # an echoed value may be megabytes long
@@ -153,10 +156,10 @@ def _at_least(least: int, text: str) -> int:
     negative = text.startswith("-")
     digits = text[1:] if negative else text
     if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected an integer, got {_clip(repr(text))}")
+        raise ValueError(f"expected an integer, got {_clip(repr(text))}")
     value = -1 if negative else int(text)
     if value < least:
-        raise argparse.ArgumentTypeError(f"expected a value >= {least}, got {_clip(text)}")
+        raise ValueError(f"expected a value >= {least}, got {_clip(text)}")
     return value
 
 
@@ -184,14 +187,14 @@ def _warn_if_huge(name: str, value: int, limit: int) -> None:
                   "this may take a very long time")
 
 
-def _cmd_coeffs(args: argparse.Namespace) -> int:
+def _cmd_coeffs(args: Arguments) -> int:
     _warn_if_huge("p", args.p, SOFT_DEGREE_LIMIT)
     row = METHODS[args.method](args.p)
     print(FORMATTERS[args.format](row))
     return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: Arguments) -> int:
     from . import oracle
 
     _warn_if_huge("p", args.p, SOFT_DEGREE_LIMIT)
@@ -208,7 +211,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: Arguments) -> int:
     from . import _verify
 
     _warn_if_huge("p", args.p_max, SOFT_DEGREE_LIMIT)
@@ -217,7 +220,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: Arguments) -> int:
     from . import _verify
 
     _warn_if_huge("p", args.p_max, SOFT_DEGREE_LIMIT)
@@ -243,7 +246,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bernoulli(args: argparse.Namespace) -> int:
+def _cmd_bernoulli(args: Arguments) -> int:
     from . import bernoulli
 
     _warn_if_huge("m", args.m, SOFT_DEGREE_LIMIT)
@@ -254,55 +257,263 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="faulhaber",
-        description="Exact Faulhaber-formula coefficients, three ways, cross-verified.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# ---------------------------------------------------------------------------
+# The command line
+#
+# Each text below is what argparse printed at 80 columns under Python
+# 3.10-3.13.  A help text starts with its usage, up to the first blank line.
 
-    coeffs = sub.add_parser("coeffs", help="print the coefficient row for exponent p")
-    coeffs.add_argument("p", type=_natural, help="power-sum exponent, >= 0")
-    coeffs.add_argument(
-        "--method", choices=sorted(METHODS), default="direct",
-        help="computation path (default: direct)",
-    )
-    coeffs.add_argument(
-        "--format", choices=sorted(FORMATTERS), default="plain",
-        help="output format (default: plain)",
-    )
-    coeffs.set_defaults(handler=_cmd_coeffs)
+HELP = """\
+usage: faulhaber [-h] {coeffs,eval,verify,bench,bernoulli} ...
 
-    evaluate = sub.add_parser("eval", help="evaluate 1^p + ... + n^p exactly")
-    evaluate.add_argument("p", type=_natural, help="power-sum exponent, >= 0")
-    evaluate.add_argument("n", type=_positive, help="upper summation limit, >= 1")
-    evaluate.add_argument(
-        "--check", action="store_true",
-        help="cross-check the result against the brute-force sum",
-    )
-    evaluate.set_defaults(handler=_cmd_eval)
+Exact Faulhaber-formula coefficients, three ways, cross-verified.
 
-    verify = sub.add_parser(
-        "verify", help="cross-check all paths, op counts, and identities"
-    )
-    verify.add_argument("p_max", type=_natural, help="highest exponent to compare")
-    verify.set_defaults(handler=_cmd_verify)
+positional arguments:
+  {coeffs,eval,verify,bench,bernoulli}
+    coeffs              print the coefficient row for exponent p
+    eval                evaluate 1^p + ... + n^p exactly
+    verify              cross-check all paths, op counts, and identities
+    bench               measured vs predicted operation counts up to p_max
+    bernoulli           print Bernoulli numbers b_0..b_m
 
-    bench = sub.add_parser(
-        "bench", help="measured vs predicted operation counts up to p_max"
-    )
-    bench.add_argument("p_max", type=_natural, help="highest exponent to benchmark")
-    bench.set_defaults(handler=_cmd_bench)
+options:
+  -h, --help            show this help message and exit
+"""
 
-    bernoulli = sub.add_parser("bernoulli", help="print Bernoulli numbers b_0..b_m")
-    bernoulli.add_argument("m", type=_natural, help="highest index, >= 0")
-    bernoulli.add_argument(
-        "--convention", choices=("plus", "minus"), default="plus",
-        help="sign convention for b_1 (default: plus)",
-    )
-    bernoulli.set_defaults(handler=_cmd_bernoulli)
 
-    return parser
+class Arguments:
+    """A parsed command line: `command`, `handler` and the command's
+    arguments, each under its name."""
+
+    def __init__(self, **fields: object) -> None:
+        vars(self).update(fields)
+
+
+def build_parser() -> Parser:
+    # Row of a subcommand: its handler, its positionals in order as
+    # (name, validator), its options as {name: (choices, default)}, where
+    # choices None marks a flag, and its help.  The table is built at each
+    # call, so a handler is looked up when the parser is built.
+    return Parser({
+        "coeffs": (
+            _cmd_coeffs, (("p", _natural),),
+            {"--method": (("bernoulli", "direct", "lemma"), "direct"),
+             "--format": (("json", "latex", "plain"), "plain")},
+            """\
+usage: faulhaber coeffs [-h] [--method {bernoulli,direct,lemma}]
+                        [--format {json,latex,plain}]
+                        p
+
+positional arguments:
+  p                     power-sum exponent, >= 0
+
+options:
+  -h, --help            show this help message and exit
+  --method {bernoulli,direct,lemma}
+                        computation path (default: direct)
+  --format {json,latex,plain}
+                        output format (default: plain)
+"""),
+        "eval": (
+            _cmd_eval, (("p", _natural), ("n", _positive)),
+            {"--check": (None, False)},
+            """\
+usage: faulhaber eval [-h] [--check] p n
+
+positional arguments:
+  p           power-sum exponent, >= 0
+  n           upper summation limit, >= 1
+
+options:
+  -h, --help  show this help message and exit
+  --check     cross-check the result against the brute-force sum
+"""),
+        "verify": (
+            _cmd_verify, (("p_max", _natural),), {},
+            """\
+usage: faulhaber verify [-h] p_max
+
+positional arguments:
+  p_max       highest exponent to compare
+
+options:
+  -h, --help  show this help message and exit
+"""),
+        "bench": (
+            _cmd_bench, (("p_max", _natural),), {},
+            """\
+usage: faulhaber bench [-h] p_max
+
+positional arguments:
+  p_max       highest exponent to benchmark
+
+options:
+  -h, --help  show this help message and exit
+"""),
+        "bernoulli": (
+            _cmd_bernoulli, (("m", _natural),),
+            {"--convention": (("plus", "minus"), "plus")},
+            """\
+usage: faulhaber bernoulli [-h] [--convention {plus,minus}] m
+
+positional arguments:
+  m                     highest index, >= 0
+
+options:
+  -h, --help            show this help message and exit
+  --convention {plus,minus}
+                        sign convention for b_1 (default: plus)
+"""),
+    })
+
+
+class Parser:
+    """Reads a command line as argparse did: options anywhere, as
+    `--name value`, `--name=value` or a unique prefix of the name; `-h` or
+    `--help` prints the help where it is reached; after the first `--` every
+    token is a positional; `-1` is a positional.  A usage error prints the
+    usage and the error to stderr and raises SystemExit(2), the help goes to
+    stdout and raises SystemExit(0)."""
+
+    def __init__(self, commands: dict[str, tuple]) -> None:
+        self.commands = commands
+
+    def parse_args(self, argv: list[str] | None = None) -> Arguments:
+        tokens = sys.argv[1:] if argv is None else list(argv)
+        fields: dict[str, object] = {"command": None}
+        extras = self._read(tokens, None, fields)
+        if extras:
+            _usage_error(HELP, "faulhaber", "unrecognized arguments: " + " ".join(extras))
+        return Arguments(**fields)
+
+    def _read(self, tokens: list[str], command: str | None,
+              fields: dict[str, object]) -> list[str]:
+        """Read `tokens` into `fields` as the arguments of `command`, or of
+        the program when it is None; return the tokens left unrecognised."""
+        if command is None:
+            positionals, options, help_text = (("command", None),), {}, HELP
+        else:
+            handler, positionals, options, help_text = self.commands[command]
+            fields.update({name[2:]: default for name, (_, default) in options.items()},
+                          handler=handler)
+
+        def fail(message: str) -> None:
+            _usage_error(help_text, f"faulhaber {command}" if command else "faulhaber", message)
+
+        # As in argparse, an ambiguous option fails before any token is read.
+        end = tokens.index("--") if "--" in tokens else len(tokens)
+        roles = [_role(token, ("--help", *options), fail) for token in tokens[:end]]
+        if end < len(tokens):
+            roles += ["--"] + [None] * (len(tokens) - end - 1)
+        extras: list[str] = []
+        waiting = list(positionals)
+        i, read = 0, -1  # read: the position just after the last token a positional took
+        while i < len(tokens):
+            token, role = tokens[i], roles[i]
+            i += 1
+            if role == "--":
+                # argparse drops it next to a positional, else it is unrecognised.
+                if not waiting and read != i - 1:
+                    extras.append(token)
+            elif role is None and not waiting:
+                extras.append(token)
+            elif role is None:
+                read = i
+                name, check = waiting.pop(0)
+                if check is None:  # the subcommand, which reads the rest
+                    if token not in self.commands:
+                        fail(f"argument command: invalid choice: {token!r} "
+                             f"(choose from {_choices(self.commands)})")
+                    fields["command"] = token
+                    return extras + self._read(tokens[i:], token, fields)
+                try:
+                    fields[name] = check(token)
+                except ValueError as error:
+                    fail(f"argument {name}: {error}")
+            else:
+                option, value = role
+                choices = options[option][0] if option in options else None
+                if option is None:
+                    extras.append(token)
+                elif choices is None:  # --help or a flag
+                    if value is not None:
+                        shown = "-h/--help" if option == "--help" else option
+                        fail(f"argument {shown}: ignored explicit argument {value!r}")
+                    if option == "--help":
+                        _print_help(help_text)
+                    fields[option[2:]] = True
+                else:
+                    if value is None:
+                        if i == len(tokens) or roles[i] is not None:
+                            fail(f"argument {option}: expected one argument")
+                        value = tokens[i]
+                        i += 1
+                    if value not in choices:
+                        fail(f"argument {option}: invalid choice: {value!r} "
+                             f"(choose from {_choices(choices)})")
+                    fields[option[2:]] = value
+        if waiting:
+            fail("the following arguments are required: "
+                 + ", ".join(name for name, _ in waiting))
+        return extras
+
+
+def _role(token: str, names: tuple[str, ...],
+          fail: Callable[[str], None]) -> tuple[str | None, str | None] | None:
+    """None if `token` is a positional, else (option, value): the one of
+    `names` it names, None if it names none, and the value given with it,
+    None if none was."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[1] == "-":
+        prefix, equals, value = token.partition("=")
+        matches = [name for name in names if name.startswith(prefix)]
+        if len(matches) > 1:
+            fail(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if equals else None
+    elif token[1] == "h":
+        if token == "-h":
+            return "--help", None
+        value = token[3:] if token[2] == "=" else token[2:]
+        # "-hh" is -h twice; the rest of a run of h's is a value -h rejects.
+        return "--help", value and (value.lstrip("h") or None)
+    # argparse's negative number: "-" and digits, with at most one "."
+    # followed by a digit; its regex also lets a final newline through.
+    whole, point, fraction = token[1:].removesuffix("\n").partition(".")
+    if (whole.isdecimal() and not point
+            or point and (whole.isdecimal() or not whole) and fraction.isdecimal()
+            or " " in token):
+        return None
+    return None, None
+
+
+def _choices(choices: object) -> str:
+    return ", ".join(map(repr, choices))
+
+
+def _usage_error(help_text: str, prog: str, message: str) -> None:
+    usage = help_text[:help_text.index("\n\n") + 1]
+    _diagnose(f"{usage}{prog}: error: {message}")
+    raise SystemExit(2)
+
+
+def _print_help(help_text: str) -> None:
+    # As argparse did, a help that stdout cannot take is dropped.
+    try:
+        if sys.stdout is not None:
+            sys.stdout.write(help_text)
+    except OSError:
+        pass
+    raise SystemExit(0)
+
+
+def _silence_stdout() -> None:
+    # Point stdout at the null device, so the flush at exit cannot raise
+    # again.
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -320,11 +531,14 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.flush()
     except BrokenPipeError:
         # The reader went away (`faulhaber bernoulli 400 | head -1`): that is
-        # no failure of the command.  Point stdout at the null device so the
-        # flush at exit cannot raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # no failure of the command.
+        _silence_stdout()
+    except OSError as error:
+        # Any other failed write (`> /dev/full`): the output is lost, which
+        # is neither a verification failure nor a usage error.
+        _diagnose(f"error: cannot write output: {error.strerror}")
+        _silence_stdout()
+        return 74
     except KeyboardInterrupt:
         # Ctrl-C: a short diagnostic and the shell's 128 + SIGINT status
         # instead of a traceback.

@@ -36,11 +36,15 @@ COMMANDS = [
     "verify 0",
     "verify 25",
     "bench 64",
+    *(f"{command} --help".lstrip()
+      for command in ("", "coeffs", "eval", "verify", "bench", "bernoulli")),
 ]
-USAGE_ERRORS = ["coeffs -1", "eval 3 0", "verify", "frobnicate 1"]
+USAGE_ERRORS = ["coeffs -1", "eval 3 0", "verify", "frobnicate 1", "coeffs x",
+                "coeffs 5 --method taylor", "coeffs 5 6", "eval 3 4 --check=1"]
 
-# argparse wraps its usage line to the terminal width, and newer Pythons may
-# colour it: both are pinned so stderr does not depend on the terminal.
+# The usage and help are fixed texts that no terminal setting changes; the
+# width and colour are pinned all the same, so that no record can come to
+# depend on the terminal it was written in.
 ENVIRONMENT = {"COLUMNS": "80", "PYTHON_COLORS": "0"}
 
 # A record is "### <command>", "exit <status>", "--- stdout" and its lines,
@@ -57,7 +61,7 @@ def run(command, capture):
     argv = command.split()
     try:
         status = cli.main(argv)
-    except SystemExit as exit_:  # argparse's usage errors
+    except SystemExit as exit_:  # a usage error or --help
         status = exit_.code
     out, err = capture()
     if argv[0] == "bench":

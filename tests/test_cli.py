@@ -512,6 +512,43 @@ def test_closed_stderr_drops_diagnostics_and_keeps_the_result(capsys, monkeypatc
     assert code == 1 and out.startswith("     p ")
 
 
+class FullStream:
+    """A text stream on a full device, as `> /dev/full` leaves `sys.stdout`:
+    each write fails with ENOSPC.  Its descriptor is a file of the test's."""
+
+    def __init__(self, path):
+        self.fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [("coeffs", "5"), ("verify", "3"), ("bernoulli", "30")])
+def test_unwritable_stdout_exits_74_with_one_line(capsys, monkeypatch, tmp_path, argv):
+    stdout = FullStream(tmp_path / "out")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert cli.main(list(argv)) == 74
+    finally:
+        os.close(stdout.fd)
+    assert capsys.readouterr().err == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_dev_full_exits_74_without_traceback():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "faulhaber", "bernoulli", "300"],
+                              stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+    assert proc.returncode == 74
+    assert proc.stderr.decode() == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+
 def test_bench_schedule_is_geometric():
     assert cli.bench_schedule(0) == [0]
     assert cli.bench_schedule(3) == [0, 1, 2, 3]

@@ -3,7 +3,9 @@ each command loads only the modules of the package that it runs.
 
 Every command pays for the imports of `faulhaber.cli`.  `dataclasses` brings
 in `inspect`, `ast`, `dis` and `tokenize`; `json` is needed by one formatter
-only, and `typing` by no code at run time.  Each program runs in a fresh
+only, and `typing` by no code at run time.  The CLI reads its command line
+without `argparse`, which brings in `gettext`, `locale` and `shutil`, not
+even for a usage error or `--help`.  Each program runs in a fresh
 interpreter under `-S`, so that no `site` hook (a `.pth` file of some
 installed package) preloads modules first.
 """
@@ -16,7 +18,8 @@ import pytest
 
 from faulhaber import cli
 
-UNWANTED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json", "typing")
+UNWANTED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json", "typing",
+            "argparse", "gettext", "locale", "shutil")
 
 PROGRAM = f"""\
 import sys
@@ -26,7 +29,8 @@ faulhaber.cli.main(["coeffs", "3", "--format", "json"])
 """
 
 # Runs the command given as its arguments, if any, after importing the CLI,
-# then prints the package's modules loaded.
+# then prints the package's modules loaded, and argparse, gettext and locale
+# if they were.
 LOADED_PROGRAM = """\
 import sys
 import faulhaber.cli
@@ -35,7 +39,8 @@ try:
         faulhaber.cli.main(sys.argv[1:])
 except SystemExit:
     pass
-print("loaded:", *sorted(m for m in sys.modules if m.startswith("faulhaber.")))
+print("loaded:", *sorted(m for m in sys.modules if m.startswith("faulhaber.")
+                         or m in ("argparse", "gettext", "locale")))
 """
 
 EVERYTHING = {"faulhaber.cli", "faulhaber._verify", "faulhaber.rationals", "faulhaber.oracle",
@@ -44,12 +49,12 @@ EVERYTHING = {"faulhaber.cli", "faulhaber._verify", "faulhaber.rationals", "faul
 BERNOULLI = {"faulhaber.cli", "faulhaber.rationals", "faulhaber.bernoulli"}
 
 
-def run_fresh(program, *argv):
+def run_fresh(program, *argv, **env):
     src = Path(cli.__file__).resolve().parents[1]
     return subprocess.run(
         [sys.executable, "-S", "-c", program, *argv],
         capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(src), **env},
     )
 
 
@@ -65,6 +70,7 @@ def test_cli_import_loads_no_unneeded_module():
     ((), {"faulhaber.cli"}),
     (("coeffs", "x"), {"faulhaber.cli"}),  # a usage error
     (("coeffs", "--help"), {"faulhaber.cli"}),
+    (("--help",), {"faulhaber.cli"}),
     (("coeffs", "3", "--method", "lemma"),
      {"faulhaber.cli", "faulhaber.rationals", "faulhaber.integration"}),
     (("coeffs", "3"), {"faulhaber.cli", "faulhaber.rationals", "faulhaber.direct"}),
@@ -74,9 +80,23 @@ def test_cli_import_loads_no_unneeded_module():
     (("bernoulli", "4"), BERNOULLI),
     (("verify", "2"), EVERYTHING),
     (("bench", "2"), EVERYTHING),
-], ids=["import", "usage-error", "help", "coeffs-lemma", "coeffs-direct", "coeffs-bernoulli",
+], ids=["import", "usage-error", "help", "program-help", "coeffs-lemma", "coeffs-direct", "coeffs-bernoulli",
         "eval", "bernoulli", "verify", "bench"])
 def test_each_command_loads_only_the_modules_it_runs(argv, modules):
     proc = run_fresh(LOADED_PROGRAM, *argv)
     assert proc.returncode == 0, proc.stderr
     assert set(proc.stdout.splitlines()[-1].split()[1:]) == modules
+
+
+@pytest.mark.parametrize("argv", [("coeffs", "x"), ("frobnicate",), ("--help",),
+                                  ("coeffs", "--help")],
+                         ids=["usage-error", "unknown-command", "program-help", "help"])
+def test_usage_and_help_do_not_follow_the_terminal_width(argv):
+    # The texts are fixed: at any width they are argparse's at 80 columns.
+    program = "import sys, faulhaber.cli; faulhaber.cli.main(sys.argv[1:])"
+    at_80 = run_fresh(program, *argv, COLUMNS="80")
+    assert at_80.returncode in (0, 2) and (at_80.stdout or at_80.stderr)
+    for columns in ("40", "200"):
+        proc = run_fresh(program, *argv, COLUMNS=columns)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            at_80.returncode, at_80.stdout, at_80.stderr)
