@@ -373,7 +373,8 @@ class Parser:
     `--help` prints the help where it is reached; after the first `--` every
     token is a positional; `-1` is a positional.  A usage error prints the
     usage and the error to stderr and raises SystemExit(2), the help goes to
-    stdout and raises SystemExit(0)."""
+    stdout and raises SystemExit(0).  Unlike argparse, an error repeats at
+    most 40 characters of a token it names."""
 
     def __init__(self, commands: dict[str, tuple]) -> None:
         self.commands = commands
@@ -383,7 +384,8 @@ class Parser:
         fields: dict[str, object] = {"command": None}
         extras = self._read(tokens, None, fields)
         if extras:
-            _usage_error(HELP, "faulhaber", "unrecognized arguments: " + " ".join(extras))
+            _usage_error(HELP, "faulhaber",
+                         "unrecognized arguments: " + " ".join(map(_clip, extras)))
         return Arguments(**fields)
 
     def _read(self, tokens: list[str], command: str | None,
@@ -422,7 +424,7 @@ class Parser:
                 name, check = waiting.pop(0)
                 if check is None:  # the subcommand, which reads the rest
                     if token not in self.commands:
-                        fail(f"argument command: invalid choice: {token!r} "
+                        fail(f"argument command: invalid choice: {_clip(repr(token))} "
                              f"(choose from {_choices(self.commands)})")
                     fields["command"] = token
                     return extras + self._read(tokens[i:], token, fields)
@@ -438,7 +440,8 @@ class Parser:
                 elif choices is None:  # --help or a flag
                     if value is not None:
                         shown = "-h/--help" if option == "--help" else option
-                        fail(f"argument {shown}: ignored explicit argument {value!r}")
+                        fail(f"argument {shown}: ignored explicit argument "
+                             f"{_clip(repr(value))}")
                     if option == "--help":
                         _print_help(help_text)
                     fields[option[2:]] = True
@@ -449,7 +452,7 @@ class Parser:
                         value = tokens[i]
                         i += 1
                     if value not in choices:
-                        fail(f"argument {option}: invalid choice: {value!r} "
+                        fail(f"argument {option}: invalid choice: {_clip(repr(value))} "
                              f"(choose from {_choices(choices)})")
                     fields[option[2:]] = value
         if waiting:
@@ -469,7 +472,7 @@ def _role(token: str, names: tuple[str, ...],
         prefix, equals, value = token.partition("=")
         matches = [name for name in names if name.startswith(prefix)]
         if len(matches) > 1:
-            fail(f"ambiguous option: {token} could match {', '.join(matches)}")
+            fail(f"ambiguous option: {_clip(token)} could match {', '.join(matches)}")
         if matches:
             return matches[0], value if equals else None
     elif token[1] == "h":
@@ -499,12 +502,11 @@ def _usage_error(help_text: str, prog: str, message: str) -> None:
 
 
 def _print_help(help_text: str) -> None:
-    # As argparse did, a help that stdout cannot take is dropped.
-    try:
-        if sys.stdout is not None:
-            sys.stdout.write(help_text)
-    except OSError:
-        pass
+    # Flushed here, so that a failed write reaches `main`'s handlers before
+    # the exit, as a command's output does.
+    if sys.stdout is not None:
+        sys.stdout.write(help_text)
+        sys.stdout.flush()
     raise SystemExit(0)
 
 
@@ -523,9 +525,9 @@ def main(argv: list[str] | None = None) -> int:
     # Python before 3.10.7 has no limit.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
     status = 0
     try:
+        args = build_parser().parse_args(argv)
         status = args.handler(args)
         if sys.stdout is not None:  # None when started with stdout closed (`>&-`)
             sys.stdout.flush()

@@ -17,12 +17,15 @@ A polynomial is held on integers, in the form of `CoefficientRow`: a pair
 being the coefficient numerators[j] / d of n^(j+1).  Every f_p has a zero
 constant term, so none is stored: the path starts from the pair of the row
 it continues, and its last pair is the row returned.  A step divides
-gcd(p, d) out of p and d, integrates and scales each entry with one divmod
-by its small divisor, and puts the whole row over one common denominator
-that is already reduced, so no gcd over the row and no division of every
-entry follows.  No step builds a `Fraction`: normalising every entry as a
-`Fraction` at every step would cost a gcd per slot on numerators of
-thousands of bits, although the row's reduced denominator stays small.
+gcd(p, d) out of p and d, integrates and scales each nonzero entry with one
+divmod by its small divisor, and puts the whole row over one common
+denominator that is already reduced, so no gcd over the row and no division
+of every entry follows.  A zero entry costs nothing, and about half the
+entries of every f_p are zero: that of n^(p+1-i) for every odd i >= 3,
+because the Bernoulli number b_i is zero there.  No step builds a
+`Fraction`: normalising every entry as a `Fraction` at every step would
+cost a gcd per slot on numerators of thousands of bits, although the row's
+reduced denominator stays small.
 
 This module keeps no state: a caller walking the degrees upward passes the
 row it holds back in.  It does not participate in the operation-count cost
@@ -47,12 +50,14 @@ def integration_step(f_prev: Scaled, p: int) -> Scaled:
     Computes p * F plus the linear correction (1 - p * F(1)) * n, where F
     is the antiderivative of f_prev with zero constant.  With u = gcd(p, d),
     p' = p / u and d' = d / u, entry j feeds slot j + 1 the value
-    p' * c_j / (d' * (j+2)), c_j = numerators[j].  One divmod,
-    c_j = q * (j+2) + r, serves that slot twice: the remainder gives the
-    factor (j+2) / gcd(p' * r, j+2) that p' * c_j / (j+2) needs in its
-    denominator, and over d' * m, m the least common multiple of those
-    factors, the quotient gives the numerator q * p'm + r * p'm / (j+2)
-    exactly.  The linear entry is d' * m less the sum of the others.
+    p' * c_j / (d' * (j+2)), c_j = numerators[j].  A zero c_j feeds a zero
+    slot and adds the factor 1 to m, so only the nonzero entries are
+    visited.  For each, one divmod, c_j = q * (j+2) + r, serves its slot
+    twice: the remainder gives the factor (j+2) / gcd(p' * r, j+2) that
+    p' * c_j / (j+2) needs in its denominator, and over d' * m, m the least
+    common multiple of those factors, the quotient gives the numerator
+    q * p'm + r * p'm / (j+2) exactly.  The linear entry is d' * m less the
+    sum of the others.
 
     No reducing pass follows, because a canonical f_prev gives a canonical
     result.  Take a prime t dividing d' * m.  If t divides m, its full
@@ -61,19 +66,24 @@ def integration_step(f_prev: Scaled, p: int) -> Scaled:
     t does not divide it.  If t divides d' but not m, it does not divide p'
     either (gcd(p', d') = 1), so it divides the entry of slot j + 1 only if
     it divides c_j; for it to divide every entry it would have to divide
-    every c_j and d, against gcd(d, *numerators) == 1.
+    every c_j and d, against gcd(d, *numerators) == 1.  A zero entry
+    divides out of neither case: its factor 1 puts no prime power in m, and
+    t divides it, so the entry that keeps t out of the row is a nonzero one
+    in both cases, and every canonical input still gives a canonical output.
     """
     if p < 1:
         raise ValueError(f"integration recurrence needs p >= 1, got {p}")
     numerators, d = f_prev
     u = gcd(p, d)
     p, d = p // u, d // u  # p' and d'
-    parts = [divmod(c, j + 2) for j, c in enumerate(numerators)]
-    m = lcm(*((j + 2) // gcd(p * r, j + 2) for j, (_, r) in enumerate(parts)))
+    live = [(j, divmod(c, j + 2)) for j, c in enumerate(numerators) if c]
+    m = lcm(*((j + 2) // gcd(p * r, j + 2) for j, (_, r) in live))
     pm = p * m
     # p * F over d' * m, above the linear slot; its top entry stays nonzero,
     # so a trimmed f_prev gives a trimmed result.
-    out = [q * pm + r * pm // (j + 2) for j, (q, r) in enumerate(parts)]
+    out = [0] * len(numerators)
+    for j, (q, r) in live:
+        out[j] = q * pm + r * pm // (j + 2)
     dm = d * m
     return (dm - sum(out), *out), dm
 

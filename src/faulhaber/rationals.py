@@ -137,7 +137,8 @@ class CoefficientRow(FrozenRecord):
 
     Rows produced by any of the computation paths satisfy: the entries sum
     to 1, the top entry is 1/(p+1), the entry of n^p is 1/2 for p >= 1, and
-    the entry of n^(p-2) is 0 for p >= 3.  Those are theorems checked by
+    the entry of n^(p+1-i) is 0 exactly for odd i >= 3, where the Bernoulli
+    number b_i is 0.  Those are theorems checked by
     the test suite, not constructor requirements, so that deliberately
     corrupted rows can be built when exercising mismatch detection.
     """

@@ -40,7 +40,9 @@ COMMANDS = [
       for command in ("", "coeffs", "eval", "verify", "bench", "bernoulli")),
 ]
 USAGE_ERRORS = ["coeffs -1", "eval 3 0", "verify", "frobnicate 1", "coeffs x",
-                "coeffs 5 --method taylor", "coeffs 5 6", "eval 3 4 --check=1"]
+                "coeffs 5 --method taylor", "coeffs 5 6", "eval 3 4 --check=1",
+                # The message repeats the first 40 characters of the token.
+                "coeffs 5 --method " + "x" * 60]
 
 # The usage and help are fixed texts that no terminal setting changes; the
 # width and colour are pinned all the same, so that no record can come to

@@ -526,7 +526,23 @@ class FullStream:
         return self.fd
 
 
-@pytest.mark.parametrize("argv", [("coeffs", "5"), ("verify", "3"), ("bernoulli", "30")])
+NO_SPACE = f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+
+
+class PipeWithoutReader(FullStream):
+    """A pipe whose reader has gone, as `| head -0` leaves `sys.stdout`:
+    each write fails with EPIPE."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+# The help is output like a command's, and a failed write of it is handled alike.
+HELP_ARGV = [("--help",), ("coeffs", "--help")]
+
+
+@pytest.mark.parametrize("argv", [("coeffs", "5"), ("verify", "3"), ("bernoulli", "30"),
+                                  *HELP_ARGV])
 def test_unwritable_stdout_exits_74_with_one_line(capsys, monkeypatch, tmp_path, argv):
     stdout = FullStream(tmp_path / "out")
     monkeypatch.setattr(sys, "stdout", stdout)
@@ -534,19 +550,40 @@ def test_unwritable_stdout_exits_74_with_one_line(capsys, monkeypatch, tmp_path,
         assert cli.main(list(argv)) == 74
     finally:
         os.close(stdout.fd)
-    assert capsys.readouterr().err == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+    assert capsys.readouterr().err == NO_SPACE
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
-def test_dev_full_exits_74_without_traceback():
+@pytest.mark.parametrize("argv", [("bernoulli", "30"), *HELP_ARGV])
+def test_stdout_without_reader_exits_0_silently(capsys, monkeypatch, tmp_path, argv):
+    stdout = PipeWithoutReader(tmp_path / "out")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert cli.main(list(argv)) == 0
+    finally:
+        os.close(stdout.fd)
+    assert capsys.readouterr().err == ""
+
+
+def into_dev_full(*argv):
+    """Run the program with stdout on /dev/full: its status and stderr."""
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
     with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "faulhaber", "bernoulli", "300"],
+        proc = subprocess.run([sys.executable, "-m", "faulhaber", *argv],
                               stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
-    assert proc.returncode == 74
-    assert proc.stderr.decode() == f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n"
+    return proc.returncode, proc.stderr.decode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_dev_full_exits_74_without_traceback():
+    assert into_dev_full("bernoulli", "300") == (74, NO_SPACE)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_help_into_dev_full_exits_74():
+    # The help fits in stdout's buffer: only a flush before the exit fails.
+    assert into_dev_full("coeffs", "--help") == (74, NO_SPACE)
 
 
 def test_bench_schedule_is_geometric():

@@ -5,8 +5,9 @@ command line gives the same fields.
 
 Where the two are meant to differ, or argparse itself differs between Python
 releases, the expected outcome is pinned instead: the `--` separator, whose
-handling later patch releases of 3.12 and 3.13 changed, and a run of flags
-attached to `-h`, which 3.13.0 reads otherwise than 3.10-3.12.
+handling later patch releases of 3.12 and 3.13 changed, a run of flags
+attached to `-h`, which 3.13.0 reads otherwise than 3.10-3.12, and a token
+longer than 40 characters, which an error message clips.
 """
 import contextlib
 import io
@@ -122,6 +123,33 @@ PINNED = [
 @pytest.mark.parametrize("argv, expected", PINNED, ids=[repr(argv) for argv, _ in PINNED])
 def test_pinned_readings(argv, expected):
     assert outcome(cli.build_parser(), argv) == expected
+
+
+# argparse echoed a token whole; the parser repeats at most its first 40
+# characters, since a token may be megabytes long.  Each case is a command
+# line, the command whose usage is printed, the message and the token as the
+# message echoes it.
+LONG = "x" * 50
+CLIPPED = {
+    "invalid choice": (["coeffs", "5", "--method", LONG], ["coeffs"],
+                       "argument --method: invalid choice: {} "
+                       "(choose from 'bernoulli', 'direct', 'lemma')", repr(LONG)),
+    "invalid command": ([LONG], [], "argument command: invalid choice: {} " + CHOOSE_COMMAND,
+                        repr(LONG)),
+    "unrecognized": (["coeffs", "5", LONG], [], "unrecognized arguments: {}", LONG),
+    "ambiguous": (["coeffs", "--=" + LONG], ["coeffs"],
+                  "ambiguous option: {} could match --help, --method, --format", "--=" + LONG),
+    "explicit argument": (["--help=" + LONG], [],
+                          "argument -h/--help: ignored explicit argument {}", repr(LONG)),
+}
+
+
+@pytest.mark.parametrize("argv, command, message, echoed", CLIPPED.values(), ids=CLIPPED)
+def test_long_tokens_are_clipped_where_argparse_echoed_them_whole(argv, command, message,
+                                                                   echoed):
+    clipped = echoed[:40] + "..."
+    assert outcome(cli.build_parser(), argv) == usage_error(command, message.format(clipped))
+    assert outcome(reference_parser(), argv) == usage_error(command, message.format(echoed))
 
 
 def test_parse_args_reads_sys_argv_by_default(monkeypatch):

@@ -1,7 +1,8 @@
 """Row invariants of every path: the theorems stated in `CoefficientRow`,
 agreement with the brute-force sum over random degrees, and the canonical
 integer pair of every row through p = 150, where the theorems become
-integer identities."""
+integer identities and the zeros of the odd Bernoulli numbers fix which
+entries are zero."""
 from fractions import Fraction
 from math import gcd
 
@@ -21,8 +22,6 @@ def test_rows_satisfy_the_invariants(method, p, n):
     assert row.coefficient(p + 1) == Fraction(1, p + 1)
     if p >= 1:
         assert row.coefficient(p) == Fraction(1, 2)
-    if p >= 3:
-        assert row.coefficient(p - 2) == 0
     assert evaluate_row(row, n) == power_sum_bruteforce(p, n)
 
 
@@ -53,3 +52,7 @@ def test_rows_are_canonical_integer_pairs(method):
         assert (p + 1) * numerators[p] == d
         if p >= 1:
             assert 2 * numerators[p - 1] == d
+        # Entry k, the coefficient of n^(k+1), is C(p+1, i) b_i / (p+1) for
+        # i = p - k: zero exactly where b_i is, at every odd i >= 3.
+        assert [c == 0 for c in numerators] == [
+            (p - k) % 2 == 1 and p - k >= 3 for k in range(p + 1)]
