@@ -80,9 +80,8 @@ class VerifyReport(Record):
                          else f"coefficients differ first at a_{m.power}")
                 lines.append(f"    p={m.p} {m.pair}: {where}")
         else:
-            lines.append(
-                f"  row equality: OK ({self.p_max + 1} degrees, {pairs} path pairs)"
-            )
+            degrees = f"{self.p_max + 1} degree{'s' if self.p_max else ''}"
+            lines.append(f"  row equality: OK ({degrees}, {pairs} path pairs)")
         bad_counts = [p for p, ok in enumerate(self.op_count_ok) if not ok]
         if bad_counts:
             lines.append(

@@ -22,10 +22,13 @@ sums, which only `verify` checks, are in `identities`.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, gcd
 
-from .rationals import ONE, ZERO, CoefficientRow, FrozenRecord, exact, scaled
+from .rationals import CoefficientRow, FrozenRecord, exact, scaled
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # for annotations only: no command that prints loads `fractions`
+    from fractions import Fraction
 
 __all__ = [
     "BernoulliTable",
@@ -48,32 +51,76 @@ def __getattr__(name: str) -> object:
 
 
 class BernoulliTable(FrozenRecord):
-    """Bernoulli numbers b_0..b_limit, stored in the minus convention.
+    """Bernoulli numbers b_0..b_limit, stored in the minus convention as
+    reduced integer pairs.
 
-    values_minus[1] == -1/2; `values_plus` is read from it, with b_1 = +1/2
-    and every other entry the same object.  Odd indices >= 3 are zero.
-    Each entry is a `Fraction` or an int, stored as a `Fraction`.
+    `ratios_minus[k]` is b_k as (numerator, denominator), the denominator
+    positive and prime to the numerator: (-1, 2) at k = 1, (0, 1) at every
+    odd k >= 3.  `ratios_plus` is read from it, with b_1 = (1, 2) and every
+    other pair the same object.  `values_minus` and `values_plus` give the
+    numbers as `Fraction`s, built when first read and kept:
+    values_plus[k] is values_minus[k] for k != 1.  Built by hand, a table
+    takes the numbers, each a `Fraction` or an int, and keeps them as its
+    `values_minus`; `bernoulli_numbers` builds one from its pairs.
     """
 
-    __slots__ = ("values_minus",)
-    values_minus: tuple[Fraction, ...]
+    __slots__ = ("ratios_minus", "_minus", "_plus")
+    ratios_minus: tuple[tuple[int, int], ...]
 
     def __init__(self, values_minus: tuple[Fraction, ...]) -> None:
         values_minus = exact(tuple(values_minus), "b_{}".format)
         if not values_minus:
             raise ValueError("a table holds b_0 at least, got no numbers")
-        if values_minus[1:2] not in ((), (Fraction(-1, 2),)):
+        ratios = tuple([b.as_integer_ratio() for b in values_minus])
+        if ratios[1:2] not in ((), ((-1, 2),)):
             raise ValueError(f"a table stores b_1 = -1/2, got b_1 = {values_minus[1]}")
-        super().__init__(values_minus)
+        super().__init__(ratios, values_minus, None)
+
+    @classmethod
+    def from_ratios(cls, ratios_minus: tuple[tuple[int, int], ...]) -> BernoulliTable:
+        """The table of the minus-convention pairs `ratios_minus`, each
+        already reduced, with b_1 = (-1, 2)."""
+        table = object.__new__(cls)
+        FrozenRecord.__init__(table, ratios_minus, None, None)
+        return table
 
     @property
     def limit(self) -> int:
-        return len(self.values_minus) - 1
+        return len(self.ratios_minus) - 1
+
+    @property
+    def ratios_plus(self) -> tuple[tuple[int, int], ...]:
+        minus = self.ratios_minus
+        return minus if len(minus) < 2 else (minus[0], (1, 2), *minus[2:])
+
+    @property
+    def values_minus(self) -> tuple[Fraction, ...]:
+        if self._minus is None:
+            from fractions import Fraction
+
+            object.__setattr__(
+                self, "_minus", tuple([Fraction(*ratio) for ratio in self.ratios_minus]))
+        return self._minus
 
     @property
     def values_plus(self) -> tuple[Fraction, ...]:
-        minus = self.values_minus
-        return minus if len(minus) < 2 else (minus[0], Fraction(1, 2), *minus[2:])
+        if self._plus is None:
+            from fractions import Fraction
+
+            minus = self.values_minus
+            object.__setattr__(self, "_plus", minus if len(minus) < 2
+                               else (minus[0], Fraction(1, 2), *minus[2:]))
+        return self._plus
+
+    def _fields(self) -> tuple:
+        # Equality and hashing read the pairs, never the Fractions.
+        return (self.ratios_minus,)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(values_minus={self.values_minus!r})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.values_minus,)
 
 
 def bernoulli_numbers(m: int) -> BernoulliTable:
@@ -81,8 +128,9 @@ def bernoulli_numbers(m: int) -> BernoulliTable:
 
     The even-index numbers come from the tangent numbers T_1..T_h, h = m // 2
     (Brent and Harvey, arXiv:1108.0286), built in place with int arithmetic
-    only:  B_2k = (-1)^(k-1) * 2k * T_k / (4^k (4^k - 1)).  b_1 = -1/2 in the
-    minus convention the table stores, and odd indices >= 3 are zero.
+    only:  B_2k = (-1)^(k-1) * 2k * T_k / (4^k (4^k - 1)), reduced by one
+    gcd.  b_1 = -1/2 in the minus convention the table stores, and odd
+    indices >= 3 are zero.
     Each call builds its own table; a caller that needs rows of several
     degrees builds one table for the highest and passes it on.
     """
@@ -95,13 +143,15 @@ def bernoulli_numbers(m: int) -> BernoulliTable:
     for k in range(2, h + 1):
         for j in range(k, h + 1):
             tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
-    minus = [ONE, Fraction(-1, 2)]
+    minus = [(1, 1), (-1, 2)]
     for k in range(1, h + 1):
         power = 4**k
-        value = Fraction(2 * k * tangent[k], power * (power - 1))
-        minus += (value if k % 2 else -value, ZERO)
+        num, den = 2 * k * tangent[k], power * (power - 1)
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        minus += ((num if k % 2 else -num, den), (0, 1))
     del minus[m + 1:]
-    return BernoulliTable(tuple(minus))
+    return BernoulliTable.from_ratios(tuple(minus))
 
 
 def faulhaber_via_bernoulli(p: int, table: BernoulliTable | None = None) -> CoefficientRow:
@@ -124,9 +174,8 @@ def faulhaber_via_bernoulli(p: int, table: BernoulliTable | None = None) -> Coef
     q = p + 1
     ratios = [(0, 1)] * q
     binomial = 1
-    for i, b in enumerate(table.values_plus[:q]):
-        if b:
-            num, den = b.as_integer_ratio()
+    for i, (num, den) in enumerate(table.ratios_plus[:q]):
+        if num:
             g = gcd(binomial, den * q)
             c, den = binomial // g, den * q // g
             g = gcd(num, den)
@@ -147,9 +196,10 @@ def bernoulli_polynomial(i: int, table: BernoulliTable | None = None) -> tuple[F
     table = table or bernoulli_numbers(i)
     if table.limit < i:
         raise ValueError(f"a table through b_{table.limit} cannot give B_{i}")
-    minus = table.values_minus
+    from fractions import Fraction
+
+    minus = table.ratios_minus
     # Each term is one Fraction built from integers, and the top one is
     # C(i, 0) * b_0 = 1, so there is no trailing zero to trim.
-    return tuple(Fraction(comb(i, k) * minus[k].numerator, minus[k].denominator)
-                 for k in range(i, -1, -1))
+    return tuple(Fraction(comb(i, k) * minus[k][0], minus[k][1]) for k in range(i, -1, -1))
 

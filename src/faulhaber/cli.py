@@ -24,7 +24,7 @@ import time
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # for annotations only: importing the CLI loads no path
-    from collections.abc import Callable
+    from collections.abc import Callable, Iterator
 
     from .bernoulli import BernoulliTable
     from .direct import OpCounter
@@ -95,11 +95,30 @@ BRUTE_FORCE_LIMIT = 10**6
 
 # ---------------------------------------------------------------------------
 # Output formats
+#
+# Every format and the `bernoulli` table are printed from integer pairs, so
+# no command that only prints loads `fractions`.
+
+
+def _fraction_text(num: int, den: int) -> str:
+    """The reduced fraction num/den, den > 0, as str() of the equal
+    `Fraction` writes it: "num/den", or the bare integer when den is 1."""
+    return f"{num}/{den}" if den != 1 else str(num)
+
+
+def _reduced(row: CoefficientRow) -> Iterator[tuple[int, int]]:
+    """The row's entries ascending by power, each as a reduced pair."""
+    from math import gcd  # not at start-up: a usage error loads no `math`
+
+    d = row.denominator
+    for c in row.numerators:
+        g = gcd(c, d)
+        yield c // g, d // g
 
 
 def format_plain(row: CoefficientRow) -> str:
     return " ".join(
-        f"a_{j}={c}" for j, c in enumerate(row.coefficients, start=1)
+        f"a_{j}={_fraction_text(*ratio)}" for j, ratio in enumerate(_reduced(row), start=1)
     )
 
 
@@ -109,7 +128,7 @@ def format_json(row: CoefficientRow) -> str:
     # Rationals travel as strings so no JSON consumer can lose exactness.
     payload = {
         "p": row.degree,
-        "coefficients": [str(c) for c in row.coefficients],
+        "coefficients": [_fraction_text(*ratio) for ratio in _reduced(row)],
     }
     return json.dumps(payload, separators=(",", ":"))
 
@@ -117,19 +136,18 @@ def format_json(row: CoefficientRow) -> str:
 def format_latex(row: CoefficientRow) -> str:
     """Render descending by power, omitting zero terms and unit coefficients."""
     parts: list[str] = []
-    for power in range(row.degree + 1, 0, -1):
-        c = row.coefficient(power)
-        if c == 0:
+    for power, (num, den) in reversed(list(enumerate(_reduced(row), start=1))):
+        if num == 0:
             continue
-        if c < 0:
+        if num < 0:
             parts.append("-")
         elif parts:
             parts.append("+")
-        c = abs(c)
-        if c.denominator != 1:
-            parts.append(rf"\frac{{{c.numerator}}}{{{c.denominator}}}")
-        elif c != 1:
-            parts.append(str(c.numerator))
+        num = abs(num)
+        if den != 1:
+            parts.append(rf"\frac{{{num}}}{{{den}}}")
+        elif num != 1:
+            parts.append(str(num))
         parts.append("n" if power == 1 else f"n^{{{power}}}")
     return "".join(parts)
 
@@ -200,7 +218,9 @@ def _cmd_eval(args: Arguments) -> int:
     _warn_if_huge("p", args.p, SOFT_DEGREE_LIMIT)
     if args.check:
         _warn_if_huge("n", args.n, BRUTE_FORCE_LIMIT)
-    value = oracle.evaluate_row(METHODS["direct"](args.p), args.n)
+    # The lemma row: built on integers alone, where the direct row's
+    # Fraction steps serve only the operation counts of `verify` and `bench`.
+    value = oracle.evaluate_row(METHODS["lemma"](args.p), args.n)
     if value.denominator != 1:
         _diagnose(f"error: coefficient evaluation produced the non-integer {value}")
         return 1
@@ -251,9 +271,9 @@ def _cmd_bernoulli(args: Arguments) -> int:
 
     _warn_if_huge("m", args.m, SOFT_DEGREE_LIMIT)
     table = bernoulli.bernoulli_numbers(args.m)
-    values = table.values_plus if args.convention == "plus" else table.values_minus
-    for i, value in enumerate(values):
-        print(f"{i}: {value}")
+    ratios = table.ratios_plus if args.convention == "plus" else table.ratios_minus
+    for i, ratio in enumerate(ratios):
+        print(f"{i}: {_fraction_text(*ratio)}")
     return 0
 
 

@@ -4,7 +4,9 @@ Every coefficient in this package is exact and rational, with no floating
 point.  A `CoefficientRow` holds its entries as integer numerators over
 one common denominator, reduced, and gives them as plain reduced
 `fractions.Fraction`s on demand.  The paths and the oracle import only
-this module, so none of them loads another's arithmetic.  It holds:
+this module, so none of them loads another's arithmetic.  It imports
+`fractions` only where it builds a `Fraction`: a command that prints rows
+from their pairs never loads it.  It holds:
 
 - the record bases `Record` and `FrozenRecord`, the `CoefficientRow`
   every path returns, and `start_row`, the row both recurrences resume from;
@@ -16,9 +18,12 @@ this module, so none of them loads another's arithmetic.  It holds:
 """
 from __future__ import annotations
 
-from collections.abc import Callable
-from fractions import Fraction
 from math import lcm
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # for annotations only
+    from collections.abc import Callable
+    from fractions import Fraction
 
 __all__ = [
     "ZERO",
@@ -26,8 +31,17 @@ __all__ = [
     "CoefficientRow",
 ]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+_CONSTANTS = {"ZERO": 0, "ONE": 1}
+
+
+def __getattr__(name: str) -> object:
+    # `ZERO` and `ONE` are Fractions, built when they are read.
+    if name in _CONSTANTS:
+        from fractions import Fraction
+
+        return Fraction(_CONSTANTS[name])
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # A polynomial or row as integers over one denominator: (numerators, d)
 # with d > 0 and gcd(d, *numerators) == 1, entry k being numerators[k] / d.
@@ -46,6 +60,8 @@ def exact(entries: tuple, name: Callable[[int], str]) -> tuple[Fraction, ...]:
     """`entries`, each int turned into a Fraction.  Any entry of another type,
     a float, a `Decimal` or a numpy integer, raises ValueError naming it by
     `name(index)`: no record holds an inexact number."""
+    from fractions import Fraction
+
     if set(map(type, entries)) - {Fraction}:  # entries all Fractions skip the checks
         for k, c in enumerate(entries):
             if not isinstance(c, (Fraction, int)):
@@ -174,6 +190,8 @@ class CoefficientRow(FrozenRecord):
         """The entries, ascending by power: the Fractions the constructor was
         given, or reduced Fractions built from the pair when first read."""
         if self._coefficients is None:
+            from fractions import Fraction
+
             d = self.denominator
             object.__setattr__(
                 self, "_coefficients", tuple(Fraction(c, d) for c in self.numerators))
@@ -204,7 +222,12 @@ def start_row(p: int, start: CoefficientRow | None) -> CoefficientRow:
     of degree at most p, or the degree-0 row [1] (f_0(n) = n)."""
     if p < 0:
         raise ValueError(f"exponent must be >= 0, got {p}")
-    start = start or CoefficientRow(0, (ONE,))
+    if start is None:
+        # Its one entry is the int 1, which the direct step multiplies as
+        # it would the Fraction 1: starting from [1] loads no `fractions`,
+        # and the direct path builds no Fraction from this pair.
+        start = object.__new__(CoefficientRow)
+        FrozenRecord.__init__(start, 0, (1,), 1, (1,))
     if start.degree > p:
         raise ValueError(f"cannot continue to degree {p} from degree {start.degree}")
     return start

@@ -113,6 +113,41 @@ def test_eval_with_cross_check(capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize("p", [0, 1, 2, 60, 400])
+def test_eval_is_the_brute_force_sum(capsys, p):
+    for n in (1, 2, 37):
+        assert run_cli(capsys, "eval", str(p), str(n)) == (
+            0, f"{sum(k**p for k in range(1, n + 1))}\n", "")
+
+
+def lemma_row_off_by(delta):
+    """The lemma path, with `delta` added to the coefficient of n."""
+    genuine = faulhaber.integration.integration_coefficients
+
+    def wrong(p, start=None):
+        row = genuine(p, start)
+        return CoefficientRow(p, (row.coefficient(1) + delta, *row.coefficients[1:]))
+    return wrong
+
+
+def test_eval_reports_a_non_integer_value_of_the_lemma_row(capsys, monkeypatch):
+    # eval evaluates the lemma row: a third added to a_1 puts n/3 in the value.
+    monkeypatch.setattr(faulhaber.integration, "integration_coefficients",
+                        lemma_row_off_by(Fraction(1, 3)))
+    for argv in (("eval", "5", "4"), ("eval", "5", "4", "--check")):
+        assert run_cli(capsys, *argv) == (
+            1, "", "error: coefficient evaluation produced the non-integer 3904/3\n")
+
+
+def test_eval_check_rejects_an_integer_valued_wrong_lemma_row(capsys, monkeypatch):
+    # 1^5 + 2^5 + 3^5 + 4^5 = 1300; a_1 one too large adds n = 4.  Only the
+    # brute-force check can tell.
+    monkeypatch.setattr(faulhaber.integration, "integration_coefficients", lemma_row_off_by(1))
+    assert run_cli(capsys, "eval", "5", "4", "--check") == (
+        1, "", "error: coefficient value 1304 disagrees with the brute-force sum\n")
+    assert run_cli(capsys, "eval", "5", "4") == (0, "1304\n", "")
+
+
 @pytest.fixture
 def default_digit_limit():
     """Run under the interpreter's default 4,300-digit limit on int/str

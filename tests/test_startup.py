@@ -5,9 +5,13 @@ Every command pays for the imports of `faulhaber.cli`.  `dataclasses` brings
 in `inspect`, `ast`, `dis` and `tokenize`; `json` is needed by one formatter
 only, and `typing` by no code at run time.  The CLI reads its command line
 without `argparse`, which brings in `gettext`, `locale` and `shutil`, not
-even for a usage error or `--help`.  Each program runs in a fresh
-interpreter under `-S`, so that no `site` hook (a `.pth` file of some
-installed package) preloads modules first.
+even for a usage error or `--help`.  Only the commands that do `Fraction`
+arithmetic load `fractions`, with its `decimal` and `numbers`: `coeffs`
+on the direct path, whose steps the operation counts are defined on,
+`eval`, whose value is a `Fraction`, `verify` and `bench`.  Every row
+format and the `bernoulli` table print from integer pairs.  Each program
+runs in a fresh interpreter under `-S`, so that no `site` hook (a `.pth`
+file of some installed package) preloads modules first.
 """
 import os
 import subprocess
@@ -29,8 +33,8 @@ faulhaber.cli.main(["coeffs", "3", "--format", "json"])
 """
 
 # Runs the command given as its arguments, if any, after importing the CLI,
-# then prints the package's modules loaded, and argparse, gettext and locale
-# if they were.
+# then prints the package's modules loaded, and those of argparse, gettext,
+# locale, fractions, decimal and numbers that were.
 LOADED_PROGRAM = """\
 import sys
 import faulhaber.cli
@@ -39,13 +43,15 @@ try:
         faulhaber.cli.main(sys.argv[1:])
 except SystemExit:
     pass
-print("loaded:", *sorted(m for m in sys.modules if m.startswith("faulhaber.")
-                         or m in ("argparse", "gettext", "locale")))
+print("loaded:", *sorted(m for m in sys.modules if m.startswith("faulhaber.") or m in (
+    "argparse", "gettext", "locale", "fractions", "decimal", "numbers")))
 """
 
+FRACTIONS = {"fractions", "decimal", "numbers"}  # fractions imports the other two
 EVERYTHING = {"faulhaber.cli", "faulhaber._verify", "faulhaber.rationals", "faulhaber.oracle",
               "faulhaber.direct", "faulhaber.integration", "faulhaber.bernoulli",
-              "faulhaber.identities"}
+              "faulhaber.identities", *FRACTIONS}
+LEMMA = {"faulhaber.cli", "faulhaber.rationals", "faulhaber.integration"}
 BERNOULLI = {"faulhaber.cli", "faulhaber.rationals", "faulhaber.bernoulli"}
 
 
@@ -71,17 +77,24 @@ def test_cli_import_loads_no_unneeded_module():
     (("coeffs", "x"), {"faulhaber.cli"}),  # a usage error
     (("coeffs", "--help"), {"faulhaber.cli"}),
     (("--help",), {"faulhaber.cli"}),
-    (("coeffs", "3", "--method", "lemma"),
-     {"faulhaber.cli", "faulhaber.rationals", "faulhaber.integration"}),
-    (("coeffs", "3"), {"faulhaber.cli", "faulhaber.rationals", "faulhaber.direct"}),
+    (("coeffs", "3", "--method", "lemma"), LEMMA),
+    (("coeffs", "3", "--method", "lemma", "--format", "json"), LEMMA),
+    (("coeffs", "4", "--method", "lemma", "--format", "latex"), LEMMA),
+    (("coeffs", "3"),
+     {"faulhaber.cli", "faulhaber.rationals", "faulhaber.direct", *FRACTIONS}),
     (("coeffs", "3", "--method", "bernoulli"), BERNOULLI),
+    (("coeffs", "3", "--method", "bernoulli", "--format", "json"), BERNOULLI),
+    (("coeffs", "4", "--method", "bernoulli", "--format", "latex"), BERNOULLI),
     (("eval", "3", "4"),
-     {"faulhaber.cli", "faulhaber.rationals", "faulhaber.direct", "faulhaber.oracle"}),
+     {"faulhaber.cli", "faulhaber.rationals", "faulhaber.integration", "faulhaber.oracle",
+      *FRACTIONS}),
     (("bernoulli", "4"), BERNOULLI),
+    (("bernoulli", "4", "--convention", "minus"), BERNOULLI),
     (("verify", "2"), EVERYTHING),
     (("bench", "2"), EVERYTHING),
-], ids=["import", "usage-error", "help", "program-help", "coeffs-lemma", "coeffs-direct", "coeffs-bernoulli",
-        "eval", "bernoulli", "verify", "bench"])
+], ids=["import", "usage-error", "help", "program-help", "coeffs-lemma", "coeffs-lemma-json",
+        "coeffs-lemma-latex", "coeffs-direct", "coeffs-bernoulli", "coeffs-bernoulli-json",
+        "coeffs-bernoulli-latex", "eval", "bernoulli", "bernoulli-minus", "verify", "bench"])
 def test_each_command_loads_only_the_modules_it_runs(argv, modules):
     proc = run_fresh(LOADED_PROGRAM, *argv)
     assert proc.returncode == 0, proc.stderr
