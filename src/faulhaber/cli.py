@@ -123,14 +123,12 @@ def format_plain(row: CoefficientRow) -> str:
 
 
 def format_json(row: CoefficientRow) -> str:
-    import json  # only this formatter needs it: keep it out of start-up
-
-    # Rationals travel as strings so no JSON consumer can lose exactness.
-    payload = {
-        "p": row.degree,
-        "coefficients": [_fraction_text(*ratio) for ratio in _reduced(row)],
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    """The object {"p": P, "coefficients": [...]} with no spaces, as
+    `json.dumps(..., separators=(",", ":"))` writes it.  Rationals travel as
+    strings so no JSON consumer can lose exactness; they hold only digits,
+    "-" and "/", which JSON writes as they are, so no `json` is loaded."""
+    coefficients = ",".join(f'"{_fraction_text(*ratio)}"' for ratio in _reduced(row))
+    return f'{{"p":{row.degree},"coefficients":[{coefficients}]}}'
 
 
 def format_latex(row: CoefficientRow) -> str:

@@ -17,10 +17,12 @@ A polynomial is held on integers, in the form of `CoefficientRow`: a pair
 being the coefficient numerators[j] / d of n^(j+1).  Every f_p has a zero
 constant term, so none is stored: the path starts from the pair of the row
 it continues, and its last pair is the row returned.  A step divides
-gcd(p, d) out of p and d, integrates and scales each nonzero entry with one
-divmod by its small divisor, and puts the whole row over one common
-denominator that is already reduced, so no gcd over the row and no division
-of every entry follows.  A zero entry costs nothing, and about half the
+gcd(p, d) out of p and d and makes two passes.  The first takes one divmod
+of each nonzero entry by its small divisor and grows the new denominator's
+factor as it goes; the second writes each scaled numerator and sums them
+for the linear entry.  The whole row lands over one common denominator
+that is already reduced, so no gcd over the row and no division of every
+entry follows.  A zero entry costs nothing, and about half the
 entries of every f_p are zero: that of n^(p+1-i) for every odd i >= 3,
 because the Bernoulli number b_i is zero there.  No step builds a
 `Fraction`: normalising every entry as a `Fraction` at every step would
@@ -33,7 +35,7 @@ model, which applies to the direct algorithm only.
 """
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 from .rationals import CoefficientRow, Scaled, start_row
 
@@ -59,6 +61,13 @@ def integration_step(f_prev: Scaled, p: int) -> Scaled:
     q * p'm + r * p'm / (j+2) exactly.  The linear entry is d' * m less the
     sum of the others.
 
+    The first loop takes the divmods and builds m as it goes, multiplying
+    it up by a factor only when the factor does not divide it already; a
+    zero remainder has the factor 1.  The second writes each nonzero
+    entry's numerator into a list that holds the linear slot too, and
+    keeps their running sum.  Most remainders are zero, and their slots
+    take the product q * p'm alone.
+
     No reducing pass follows, because a canonical f_prev gives a canonical
     result.  Take a prime t dividing d' * m.  If t divides m, its full
     power t^e in m is the t-part of one entry's factor; the slot that entry
@@ -76,16 +85,30 @@ def integration_step(f_prev: Scaled, p: int) -> Scaled:
     numerators, d = f_prev
     u = gcd(p, d)
     p, d = p // u, d // u  # p' and d'
-    live = [(j, divmod(c, j + 2)) for j, c in enumerate(numerators) if c]
-    m = lcm(*((j + 2) // gcd(p * r, j + 2) for j, (_, r) in live))
+    live = []
+    m = 1
+    for k, c in enumerate(numerators, 2):  # k = j + 2, the divisor of entry j
+        if c:
+            q, r = divmod(c, k)
+            if r:
+                factor = k // gcd(p * r, k)
+                if m % factor:
+                    m *= factor // gcd(m, factor)
+            live.append((k, q, r))
     pm = p * m
-    # p * F over d' * m, above the linear slot; its top entry stays nonzero,
-    # so a trimmed f_prev gives a trimmed result.
-    out = [0] * len(numerators)
-    for j, (q, r) in live:
-        out[j] = q * pm + r * pm // (j + 2)
+    # p * F over d' * m; slot 0, the linear entry, is filled last.  The top
+    # entry stays nonzero, so a trimmed f_prev gives a trimmed result.
+    out = [0] * (len(numerators) + 1)
+    total = 0
+    for k, q, r in live:
+        entry = q * pm
+        if r:
+            entry += r * pm // k
+        out[k - 1] = entry
+        total += entry
     dm = d * m
-    return (dm - sum(out), *out), dm
+    out[0] = dm - total
+    return tuple(out), dm
 
 
 def integration_coefficients(p: int, start: CoefficientRow | None = None) -> CoefficientRow:

@@ -175,6 +175,15 @@ TERMS = st.fractions(-10**6, 10**6, max_denominator=10**4)
 # Every entry zero but the top one, and no entry zero.
 @example([0] * 8, F(-7, 12), 9)
 @example([F(1, 6), F(-3, 4), 5, F(2, 9)], F(1, 10), 6)
+# Every remainder zero, so the new denominator gains no factor (m = 1).
+@example([2, 3], 4, 5)
+# p shares a factor with d: gcd(6, 12) = 6 comes out of both.
+@example([F(1, 12), F(5, 6)], F(1, 4), 6)
+# Negative entries, over 3: -12 by 2 leaves no remainder, -5 by 3 and -27
+# by 4 leave floor remainders 1.
+@example([-4, F(-5, 3)], -9, 7)
+# Zero below a large top entry.
+@example([0] * 5, F(10**40 + 7, 11), 4)
 def test_step_on_random_polynomials_gives_the_canonical_reference(terms, top, p):
     f = polynomial([*terms, top])
     numerators, d = advanced = integration_step(scaled(f), p)

@@ -2,8 +2,9 @@
 each command loads only the modules of the package that it runs.
 
 Every command pays for the imports of `faulhaber.cli`.  `dataclasses` brings
-in `inspect`, `ast`, `dis` and `tokenize`; `json` is needed by one formatter
-only, and `typing` by no code at run time.  The CLI reads its command line
+in `inspect`, `ast`, `dis` and `tokenize`; `typing` is needed by no code
+at run time, and `json` by none either: the json format writes its object
+itself, so no command loads it.  The CLI reads its command line
 without `argparse`, which brings in `gettext`, `locale` and `shutil`, not
 even for a usage error or `--help`.  Only the commands that do `Fraction`
 arithmetic load `fractions`, with its `decimal` and `numbers`: `coeffs`
@@ -34,7 +35,7 @@ faulhaber.cli.main(["coeffs", "3", "--format", "json"])
 
 # Runs the command given as its arguments, if any, after importing the CLI,
 # then prints the package's modules loaded, and those of argparse, gettext,
-# locale, fractions, decimal and numbers that were.
+# locale, json, fractions, decimal and numbers that were.
 LOADED_PROGRAM = """\
 import sys
 import faulhaber.cli
@@ -44,7 +45,7 @@ try:
 except SystemExit:
     pass
 print("loaded:", *sorted(m for m in sys.modules if m.startswith("faulhaber.") or m in (
-    "argparse", "gettext", "locale", "fractions", "decimal", "numbers")))
+    "argparse", "gettext", "locale", "json", "fractions", "decimal", "numbers")))
 """
 
 FRACTIONS = {"fractions", "decimal", "numbers"}  # fractions imports the other two
