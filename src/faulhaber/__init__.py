@@ -35,8 +35,6 @@ _EXPORTS = {
     "integration_coefficients": "integration",
     "power_sum_bruteforce": "oracle",
     "evaluate_row": "oracle",
-    "ZERO": "rationals",
-    "ONE": "rationals",
     "CoefficientRow": "rationals",
 }
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rationals import ONE, ZERO, CoefficientRow, Record, start_row
+from .rationals import CoefficientRow, Record, start_row
 
 __all__ = ["OpCounter", "direct_coefficients"]
 
@@ -49,14 +49,15 @@ def _advance(row: list[Fraction], i: int, counter: OpCounter | None) -> None:
     j runs downward so row[j - 2] is still the previous row's entry when
     read.  Step i costs i multiplications (one per slot j = i+1..2) and
     i + 1 additions/subtractions (i into the running sum, then 1 - s); a
-    counter gains both once per step.
+    counter gains both once per step.  The appended 0 is overwritten and the
+    sum turns Fraction at its first term, so the row stays all Fractions.
     """
-    row.append(ZERO)
-    s = ZERO
+    row.append(0)
+    s = 0
     for j in range(i + 1, 1, -1):
         row[j - 1] = term = Fraction(i, j) * row[j - 2]
         s += term
-    row[0] = ONE - s
+    row[0] = 1 - s
     if counter is not None:
         counter.additions += i + 1
         counter.multiplications += i

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import bernoulli
 from .oracle import power_sum_bruteforce
-from .rationals import ZERO, horner, scaled
+from .rationals import horner, scaled
 
 __all__ = ["IdentityValues", "check_power_sum_identity", "check_integral_identity",
            "check_difference_identity"]
@@ -37,7 +37,7 @@ def _integrate_polynomial(f: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         return ()
     # From integers: Fraction(c, k + 1) of a Fraction c takes the slow
     # numbers.Rational path.
-    return (ZERO,) + tuple(
+    return (Fraction(0),) + tuple(
         Fraction(c.numerator, c.denominator * (k + 1)) for k, c in enumerate(f))
 
 

@@ -25,22 +25,7 @@ if TYPE_CHECKING:  # for annotations only
     from collections.abc import Callable
     from fractions import Fraction
 
-__all__ = [
-    "ZERO",
-    "ONE",
-    "CoefficientRow",
-]
-
-_CONSTANTS = {"ZERO": 0, "ONE": 1}
-
-
-def __getattr__(name: str) -> object:
-    # `ZERO` and `ONE` are Fractions, built when they are read.
-    if name in _CONSTANTS:
-        from fractions import Fraction
-
-        return Fraction(_CONSTANTS[name])
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["CoefficientRow"]
 
 
 # A polynomial or row as integers over one denominator: (numerators, d)

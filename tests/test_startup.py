@@ -10,7 +10,8 @@ even for a usage error or `--help`.  Only the commands that do `Fraction`
 arithmetic load `fractions`, with its `decimal` and `numbers`: `coeffs`
 on the direct path, whose steps the operation counts are defined on,
 `eval`, whose value is a `Fraction`, `verify` and `bench`.  Every row
-format and the `bernoulli` table print from integer pairs.  Each program
+format and the `bernoulli` table print from integer pairs, and no module of
+the paths builds a `Fraction` when it is imported.  Each program
 runs in a fresh interpreter under `-S`, so that no `site` hook (a `.pth`
 file of some installed package) preloads modules first.
 """
@@ -48,6 +49,23 @@ print("loaded:", *sorted(m for m in sys.modules if m.startswith("faulhaber.") or
     "argparse", "gettext", "locale", "json", "fractions", "decimal", "numbers")))
 """
 
+# Counts the Fractions built while the CLI and the modules of the paths and
+# the oracle are imported.  Not `identities`: its integral endpoints are
+# Fractions by design.
+CONSTRUCTION_PROGRAM = """\
+import fractions
+built = 0
+new = fractions.Fraction.__new__
+def counting_new(cls, *args, **kwargs):
+    global built
+    built += 1
+    return new(cls, *args, **kwargs)
+fractions.Fraction.__new__ = staticmethod(counting_new)
+import faulhaber.cli
+from faulhaber import bernoulli, direct, integration, oracle, rationals
+print(built)
+"""
+
 FRACTIONS = {"fractions", "decimal", "numbers"}  # fractions imports the other two
 EVERYTHING = {"faulhaber.cli", "faulhaber._verify", "faulhaber.rationals", "faulhaber.oracle",
               "faulhaber.direct", "faulhaber.integration", "faulhaber.bernoulli",
@@ -71,6 +89,11 @@ def test_cli_import_loads_no_unneeded_module():
     loaded, emitted = proc.stdout.splitlines()
     assert loaded == ""
     assert emitted == '{"p":3,"coefficients":["0","1/4","1/2","1/4"]}'
+
+
+def test_no_path_module_builds_a_rational_at_import():
+    proc = run_fresh(CONSTRUCTION_PROGRAM)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0\n")
 
 
 @pytest.mark.parametrize("argv, modules", [
