@@ -1,18 +1,19 @@
 """Cross-verification and the counted pass behind `verify` and `bench`.
 
-Only those two commands load this module.  It loads every path, and
-`identities`, which owns the identity checks and their ranges and gives
-the tally the report prints.  Each path function is looked up on its
-defining module when it is called, never bound here at import, so whatever
-a tracer or a test puts in its place is what runs, and nothing of theirs
-stays behind once they put it back.
+Only those two commands load this module.  It loads only the direct path,
+all that the counted pass of `bench` runs; `run_verification` loads the
+other two paths and `identities`, which owns the identity checks and their
+ranges and gives the tally the report prints.  Each path function is
+looked up on its defining module when it is called, never bound here at
+import, so whatever a tracer or a test puts in its place is what runs, and
+nothing of theirs stays behind once they put it back.
 """
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
 
-from . import bernoulli, direct, identities, integration
+from . import direct
 from .rationals import CoefficientRow, FrozenRecord, Record
 
 # The paths in the order verify compares them; `cli.METHODS` keeps it.
@@ -141,6 +142,8 @@ def run_verification(p_max: int) -> VerifyReport:
     """
     if p_max < 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
+    from . import bernoulli, identities, integration
+
     table = bernoulli.bernoulli_numbers(p_max)
     lemma = None
     op_count_ok = []

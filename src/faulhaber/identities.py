@@ -2,21 +2,22 @@
 sums to Bernoulli polynomials, the ranges it checks them over, and the tally.
 
 The checks compare integers only: one `IdentityValues`, built per run of
-the checks and passed to each, holds every polynomial and its
-antiderivative scaled to its common denominator and gives its value at
-each point once, from `horner`, as an integer over a positive denominator
-(d itself at an integer point); each identity is cross-multiplied by its
-denominators, so no check builds a Fraction.
+the checks and passed to each, holds every polynomial scaled to its common
+denominator and its antiderivative integrated on that pair, and gives
+their value at each point once, from `horner`, as an integer over a
+positive denominator (d itself at an integer point); each identity is
+cross-multiplied by its denominators, so no check builds a Fraction.
 """
 from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterable
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import bernoulli
 from .oracle import power_sum_bruteforce
-from .rationals import horner, scaled
+from .rationals import Scaled, horner, scaled
 
 __all__ = ["IdentityValues", "check_power_sum_identity", "check_integral_identity",
            "check_difference_identity"]
@@ -31,19 +32,19 @@ INTEGRAL_IDENTITY_RANGE = (  # i, a, b
 DIFFERENCE_IDENTITY_RANGE = (range(2, 31), range(0, 21))  # i, n
 
 
-def _integrate_polynomial(f: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """Antiderivative with zero constant term: c_k t^k maps to c_k/(k+1) t^(k+1)."""
-    if not f:
-        return ()
-    # From integers: Fraction(c, k + 1) of a Fraction c takes the slow
-    # numbers.Rational path.
-    return (Fraction(0),) + tuple(
-        Fraction(c.numerator, c.denominator * (k + 1)) for k, c in enumerate(f))
+def _integrate_pair(numerators: tuple[int, ...], d: int) -> Scaled:
+    """Antiderivative, zero constant term, of sum_k numerators[k] t^k / d:
+    entry k times m/(k+1) over d m, m = lcm(1..n) for n entries, then one gcd
+    of the whole pair divided out, so that it stays canonical."""
+    m = lcm(*range(1, len(numerators) + 1))
+    integral = (0, *[c * (m // k) for k, c in enumerate(numerators, 1)])
+    g = gcd(*integral, d * m)
+    return tuple([c // g for c in integral]), d * m // g
 
 
 class IdentityValues:
-    """B_0..B_limit from one table, their antiderivatives (zero constant
-    term), each scaled once, and their values, each computed once per point.
+    """B_0..B_limit from one table, each scaled once and integrated on that
+    pair (zero constant term), and their values, each computed once per point.
 
     `values(i, x)` is B_i(x), and with `integrated=True` the antiderivative
     of B_i at x, as `horner` gives it: an integer over a positive
@@ -51,7 +52,7 @@ class IdentityValues:
     Fraction share one value.  An index above `limit` raises ValueError.
     """
 
-    __slots__ = ("limit", "polynomials", "antiderivatives", "_forms", "_values")
+    __slots__ = ("limit", "polynomials", "_forms", "_values")
 
     def __init__(self, limit: int) -> None:
         table = bernoulli.bernoulli_numbers(limit)
@@ -59,9 +60,8 @@ class IdentityValues:
         # Through the module attribute, which a tracer or a test may wrap.
         self.polynomials = tuple(bernoulli.bernoulli_polynomial(i, table)
                                  for i in range(limit + 1))
-        self.antiderivatives = tuple(map(_integrate_polynomial, self.polynomials))
-        self._forms = tuple(tuple(scaled([c.as_integer_ratio() for c in f]) for f in polynomials)
-                            for polynomials in (self.polynomials, self.antiderivatives))
+        forms = tuple([scaled([c.as_integer_ratio() for c in f]) for f in self.polynomials])
+        self._forms = forms, tuple([_integrate_pair(*form) for form in forms])
         self._values: dict[tuple[bool, int, int, int], tuple[int, int]] = {}
 
     def __call__(self, i: int, x: Fraction | int, integrated: bool = False) -> tuple[int, int]:

@@ -21,6 +21,7 @@ from faulhaber import (
     faulhaber_via_bernoulli,
     power_sum_bruteforce,
 )
+from faulhaber.rationals import scaled
 
 F = Fraction
 # The polynomials and values of the identities through B_31, the highest
@@ -200,21 +201,42 @@ def test_integral_identity_example():
 
 
 def test_antiderivatives_are_integrated_once(monkeypatch):
-    # One IdentityValues integrates each of B_0..B_31 symbolically exactly
+    # One IdentityValues integrates the pair of each of B_0..B_31 exactly
     # once, and checks out of order integrate nothing more.
     integrated = []
-    genuine = identities._integrate_polynomial
+    genuine = identities._integrate_pair
 
-    def counted(f):
-        integrated.append(f)
-        return genuine(f)
+    def counted(numerators, d):
+        integrated.append((numerators, d))
+        return genuine(numerators, d)
 
-    monkeypatch.setattr(identities, "_integrate_polynomial", counted)
+    monkeypatch.setattr(identities, "_integrate_pair", counted)
     values = IdentityValues(31)
+    assert len(integrated) == 32
     for i in (30, 3, 0, 17, 30):
         assert all(check_integral_identity(i, a, b, values) for a in ENDPOINTS for b in ENDPOINTS)
-    assert integrated == [bernoulli_polynomial(i) for i in range(32)]
-    assert values.antiderivatives == tuple(map(antiderivative, integrated))
+        for x in ENDPOINTS:
+            integral = fraction_value(antiderivative(bernoulli_polynomial(i)), x)
+            assert F(*values(i, x, integrated=True)) == integral
+    assert integrated == [scaled([c.as_integer_ratio() for c in bernoulli_polynomial(i)])
+                          for i in range(32)]
+
+
+def test_identity_values_build_no_fraction_of_their_own(monkeypatch):
+    # The only Fractions built are the entries of B_0..B_31 that
+    # `bernoulli_polynomial` returns, sum(i + 1) = 528 of them: the
+    # antiderivatives are integrated on the integer pairs.
+    built = []
+    genuine = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return genuine(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    IdentityValues(31)
+    monkeypatch.undo()
+    assert len(built) == sum(i + 1 for i in range(32)) == 528
 
 
 def test_values_above_the_limit_rejected():

@@ -576,8 +576,9 @@ class PipeWithoutReader(FullStream):
 HELP_ARGV = [("--help",), ("coeffs", "--help")]
 
 
+# `bench` writes row by row, so its write fails inside its loop.
 @pytest.mark.parametrize("argv", [("coeffs", "5"), ("verify", "3"), ("bernoulli", "30"),
-                                  *HELP_ARGV])
+                                  *HELP_ARGV, ("eval", "3", "4"), ("bench", "3")])
 def test_unwritable_stdout_exits_74_with_one_line(capsys, monkeypatch, tmp_path, argv):
     stdout = FullStream(tmp_path / "out")
     monkeypatch.setattr(sys, "stdout", stdout)
@@ -588,7 +589,8 @@ def test_unwritable_stdout_exits_74_with_one_line(capsys, monkeypatch, tmp_path,
     assert capsys.readouterr().err == NO_SPACE
 
 
-@pytest.mark.parametrize("argv", [("bernoulli", "30"), *HELP_ARGV])
+@pytest.mark.parametrize("argv", [("bernoulli", "30"), *HELP_ARGV, ("eval", "3", "4"),
+                                  ("bench", "3")])
 def test_stdout_without_reader_exits_0_silently(capsys, monkeypatch, tmp_path, argv):
     stdout = PipeWithoutReader(tmp_path / "out")
     monkeypatch.setattr(sys, "stdout", stdout)

@@ -1,7 +1,7 @@
 """Integration path: the recurrence step on integer numerators over one
 denominator, the rows it returns, and agreement with the direct rows; and
-the `Fraction` antiderivatives and integer Horner evaluation that the
-Bernoulli identity checks use."""
+the antiderivatives on integer pairs and integer Horner evaluation that
+the Bernoulli identity checks use."""
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from faulhaber import CoefficientRow, direct_coefficients, integration_coefficients
-from faulhaber.identities import _integrate_polynomial as integrate_polynomial
+from faulhaber.identities import _integrate_pair
 from faulhaber.integration import integration_step
 from faulhaber.rationals import horner
 
@@ -36,6 +36,15 @@ def scaled(f):
     return tuple(c.numerator * (d // c.denominator) for c in f), d
 
 
+def integrate_polynomial(f):
+    """`_integrate_pair` on f's pair, read back as Fractions; the pair it
+    returns must be canonical: a positive denominator prime to the
+    numerators as a whole."""
+    numerators, d = _integrate_pair(*scaled(f))
+    assert d > 0 and gcd(d, *numerators) == 1
+    return tuple(F(c, d) for c in numerators)
+
+
 def row_to_polynomial(row):
     """The row as a polynomial in n, with the implicit zero constant added."""
     return polynomial((0,) + row.coefficients)
@@ -46,16 +55,18 @@ def test_integrate_power_rule():
 
 
 def test_integrate_zero_polynomial():
-    assert integrate_polynomial(()) == ()
+    # Only the zero constant term: the zero polynomial over 1.
+    assert _integrate_pair((), 1) == ((0,), 1)
+    assert _integrate_pair((), 6) == ((0,), 1)
 
 
-def test_integrate_int_coefficients_stays_exact():
-    # A raw int tuple that did not go through polynomial() must not turn
-    # into floats: 1 + 2t integrates to t + t^2 with Fraction entries.
-    antider = integrate_polynomial((1, 2))
-    assert antider == (F(0), F(1), F(1))
-    assert all(type(c) is Fraction for c in antider)
-    assert integrate_polynomial((1, 1)) == (F(0), F(1), F(1, 2))
+def test_integrate_int_pair_values():
+    # 1 + 2t integrates to t + t^2 over 1, and 1 + t to t + t^2/2 over 2;
+    # a pair with a common factor left in comes out reduced all the same.
+    assert _integrate_pair((1, 2), 1) == ((0, 1, 1), 1)
+    assert _integrate_pair((1, 1), 1) == ((0, 2, 1), 2)
+    assert _integrate_pair((2, 4), 2) == ((0, 1, 1), 1)
+    assert _integrate_pair((-3, 0, 6), 9) == ((0, -3, 0, 2), 9)
 
 
 def test_integrate_linear_power_sum():
