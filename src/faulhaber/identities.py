@@ -1,18 +1,19 @@
 """Evidence that only `verify` reads: three textbook identities tying power
 sums to Bernoulli polynomials, the ranges it checks them over, and the tally.
 
-The checks compare integers only: one `IdentityValues`, built per run of
-the checks and passed to each, holds every polynomial scaled to its common
+Each check takes one polynomial index and every point of its family's
+range, and returns the points where the identity fails.  The checks
+compare integers only: one `IdentityValues`, built per run of the checks
+and passed to each, holds every polynomial scaled to its common
 denominator and its antiderivative integrated on that pair, and gives
 their value at each point once, from `horner`, as an integer over a
 positive denominator (d itself at an integer point); each identity is
 cross-multiplied by its denominators, so no check builds a Fraction.
+A point is an int, or a rational u/v as the int pair (u, v) with v > 0.
 """
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable
-from fractions import Fraction
 from math import gcd, lcm
 
 from . import bernoulli
@@ -22,13 +23,14 @@ from .rationals import Scaled, horner, scaled
 __all__ = ["IdentityValues", "check_power_sum_identity", "check_integral_identity",
            "check_difference_identity"]
 
-# Fixed default ranges for the identity checks run by `verify`; each check
-# runs over every combination of its ranges.
+Point = int | tuple[int, int]
+
+# Fixed default ranges for the identity checks run by `verify`: each family
+# is checked for every index of its first range at every point of its second.
 POWER_SUM_IDENTITY_RANGE = (range(1, 31), range(1, 21))  # p, n
-INTEGRAL_IDENTITY_ENDPOINTS = (
-    Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(2))
-INTEGRAL_IDENTITY_RANGE = (  # i, a, b
-    range(0, 31), INTEGRAL_IDENTITY_ENDPOINTS, INTEGRAL_IDENTITY_ENDPOINTS)
+INTEGRAL_IDENTITY_ENDPOINTS = ((0, 1), (1, 1), (1, 2), (-1, 1), (2, 1))
+INTEGRAL_IDENTITY_RANGE = (  # i, (a, b)
+    range(0, 31), tuple(itertools.product(INTEGRAL_IDENTITY_ENDPOINTS, repeat=2)))
 DIFFERENCE_IDENTITY_RANGE = (range(2, 31), range(0, 21))  # i, n
 
 
@@ -42,17 +44,36 @@ def _integrate_pair(numerators: tuple[int, ...], d: int) -> Scaled:
     return tuple([c // g for c in integral]), d * m // g
 
 
+class PolynomialValues(dict):
+    """The values of one polynomial, held as its pair `numerators` over
+    `denominator`, by point: `values[x]` is computed by `horner` when first
+    read and kept.  A pair (u, 1) shares the value of the int u."""
+
+    __slots__ = ("numerators", "denominator")
+
+    def __init__(self, form: Scaled) -> None:
+        self.numerators, self.denominator = form
+
+    def __missing__(self, x: Point) -> tuple[int, int]:
+        if type(x) is tuple and x[1] == 1:
+            value = self[x[0]]
+        else:
+            value = horner(self.numerators, self.denominator, x)
+        self[x] = value
+        return value
+
+
 class IdentityValues:
     """B_0..B_limit from one table, each scaled once and integrated on that
     pair (zero constant term), and their values, each computed once per point.
 
-    `values(i, x)` is B_i(x), and with `integrated=True` the antiderivative
-    of B_i at x, as `horner` gives it: an integer over a positive
-    denominator, d itself at an integer x.  An integer point and the equal
-    Fraction share one value.  An index above `limit` raises ValueError.
+    `values(i)` is B_i, and with `integrated=True` the antiderivative of
+    B_i, as a `PolynomialValues`: its value at each point x, as `horner`
+    gives it, is an integer over a positive denominator, d itself at an
+    integer x.  An index outside 0..limit raises ValueError.
     """
 
-    __slots__ = ("limit", "polynomials", "_forms", "_values")
+    __slots__ = ("limit", "polynomials", "_values")
 
     def __init__(self, limit: int) -> None:
         table = bernoulli.bernoulli_numbers(limit)
@@ -60,22 +81,19 @@ class IdentityValues:
         # Through the module attribute, which a tracer or a test may wrap.
         self.polynomials = tuple(bernoulli.bernoulli_polynomial(i, table)
                                  for i in range(limit + 1))
-        forms = tuple([scaled([c.as_integer_ratio() for c in f]) for f in self.polynomials])
-        self._forms = forms, tuple([_integrate_pair(*form) for form in forms])
-        self._values: dict[tuple[bool, int, int, int], tuple[int, int]] = {}
+        forms = [scaled([c.as_integer_ratio() for c in f]) for f in self.polynomials]
+        self._values = (tuple([PolynomialValues(form) for form in forms]),
+                        tuple([PolynomialValues(_integrate_pair(*form)) for form in forms]))
 
-    def __call__(self, i: int, x: Fraction | int, integrated: bool = False) -> tuple[int, int]:
-        key = integrated, i, x.numerator, x.denominator
-        value = self._values.get(key)
-        if value is None:
-            if not 0 <= i <= self.limit:
-                raise ValueError(f"values through B_{self.limit} cannot give B_{i}")
-            value = self._values[key] = horner(*self._forms[integrated][i], x)
-        return value
+    def __call__(self, i: int, integrated: bool = False) -> PolynomialValues:
+        if not 0 <= i <= self.limit:
+            raise ValueError(f"values through B_{self.limit} cannot give B_{i}")
+        return self._values[integrated][i]
 
 
-def check_power_sum_identity(p: int, n: int, values: IdentityValues) -> bool:
-    """Does f_{p-1}(n) equal (B_p(n+1) - B_p(1)) / p?  Exact, brute-force left side.
+def check_power_sum_identity(p: int, ns: range, values: IdentityValues) -> list[int]:
+    """The n in `ns` where f_{p-1}(n) differs from (B_p(n+1) - B_p(1)) / p,
+    with an exact, brute-force left side.
 
     The subtracted constant is B_p at 1, the plus-convention Bernoulli
     number; it equals B_p(0) for every p >= 2 and keeps the identity exact
@@ -84,61 +102,64 @@ def check_power_sum_identity(p: int, n: int, values: IdentityValues) -> bool:
     """
     if p < 1:
         raise ValueError(f"power-sum identity needs p >= 1, got {p}")
-    left = power_sum_bruteforce(p - 1, n)
-    high, d = values(p, n + 1)
-    low, _ = values(p, 1)
-    return high - low == p * d * left
+    b = values(p)
+    low = b[1][0]
+    scale = p * b.denominator
+    return [n for n in ns if b[n + 1][0] - low != scale * power_sum_bruteforce(p - 1, n)]
 
 
-def check_integral_identity(i: int, a: Fraction, b: Fraction, values: IdentityValues) -> bool:
-    """Does the integral of B_i over [a, b] equal (B_{i+1}(b) - B_{i+1}(a))/(i+1)?
+def check_integral_identity(
+    i: int, intervals: tuple[tuple[Point, Point], ...], values: IdentityValues,
+) -> list[tuple[Point, Point]]:
+    """The (a, b) in `intervals` where the integral of B_i over [a, b]
+    differs from (B_{i+1}(b) - B_{i+1}(a)) / (i+1).
 
     The left side is B_i integrated symbolically and evaluated at the
-    endpoints; both sides are exact.  With F = P/Q the antiderivative and
-    B_{i+1} = R/S at each endpoint, the test is
-    (i+1) (P(b) Q(a) - P(a) Q(b)) S(a) S(b) == (R(b) S(a) - R(a) S(b)) Q(a) Q(b).
+    endpoints; both sides are exact.  With F the antiderivative, the
+    identity says that G = (i+1) F - B_{i+1} takes one value at a and at b.
+    With F = P/Q and B_{i+1} = R/S at each endpoint x,
+    G(x) = ((i+1) P(x) S(x) - R(x) Q(x)) / (Q(x) S(x)), and the test is
+    G(a) == G(b), cross-multiplied.
     """
     if i < 0:
         raise ValueError(f"polynomial index must be >= 0, got {i}")
-    pa, qa = values(i, a, integrated=True)
-    pb, qb = values(i, b, integrated=True)
-    ra, sa = values(i + 1, a)
-    rb, sb = values(i + 1, b)
-    return (i + 1) * (pb * qa - pa * qb) * sa * sb == (rb * sa - ra * sb) * qa * qb
+    integral, successor = values(i, integrated=True), values(i + 1)
+    g = {}
+    for x in {x for interval in intervals for x in interval}:
+        (p, q), (r, s) = integral[x], successor[x]
+        g[x] = (i + 1) * p * s - r * q, q * s
+    return [(a, b) for a, b in intervals if g[a][0] * g[b][1] != g[b][0] * g[a][1]]
 
 
-def check_difference_identity(i: int, n: int, values: IdentityValues) -> bool:
-    """Does B_i(n+1) - B_i(n) equal i * n^(i-1)?  Defined for i > 1 only.
+def check_difference_identity(i: int, ns: range, values: IdentityValues) -> list[int]:
+    """The n in `ns` where B_i(n+1) - B_i(n) differs from i * n^(i-1).
+    Defined for i > 1 only.
 
     With B_i = H/d, the test is H(n+1) - H(n) == i * d * n^(i-1).
     """
     if i <= 1:
         raise ValueError(f"difference identity needs i > 1, got {i}")
-    high, d = values(i, n + 1)
-    low, _ = values(i, n)
-    return high - low == i * d * n ** (i - 1)
-
-
-def _tally(check: Callable[..., bool], *ranges: Iterable) -> tuple[int, int]:
-    """(checked, failed) of `check` over every combination of `ranges`."""
-    results = [check(*args) for args in itertools.product(*ranges)]
-    return len(results), results.count(False)
+    b = values(i)
+    scale = i * b.denominator
+    return [n for n in ns if b[n + 1][0] - b[n][0] != scale * n ** (i - 1)]
 
 
 def tallies() -> dict[str, tuple[int, int]]:
     """(checked, failed) of each identity over its default range, by the
     label `verify` reports it under."""
-    # Each check takes one IdentityValues through the highest index the
-    # families read (the integral identity reads B_{i+1}) as its last
-    # argument.
-    values = (IdentityValues(max(POWER_SUM_IDENTITY_RANGE[0][-1],
-                                 INTEGRAL_IDENTITY_RANGE[0][-1] + 1,
-                                 DIFFERENCE_IDENTITY_RANGE[0][-1])),)
+    # One IdentityValues through the highest index the families read (the
+    # integral identity reads B_{i+1}).  The checks are looked up here, at
+    # each call, where a tracer or a test may have wrapped them.
+    values = IdentityValues(max(POWER_SUM_IDENTITY_RANGE[0][-1],
+                                INTEGRAL_IDENTITY_RANGE[0][-1] + 1,
+                                DIFFERENCE_IDENTITY_RANGE[0][-1]))
+    families = (
+        ("power-sum identity", check_power_sum_identity, POWER_SUM_IDENTITY_RANGE),
+        ("integral identity", check_integral_identity, INTEGRAL_IDENTITY_RANGE),
+        ("difference identity", check_difference_identity, DIFFERENCE_IDENTITY_RANGE),
+    )
     return {
-        "power-sum identity": _tally(
-            check_power_sum_identity, *POWER_SUM_IDENTITY_RANGE, values),
-        "integral identity": _tally(
-            check_integral_identity, *INTEGRAL_IDENTITY_RANGE, values),
-        "difference identity": _tally(
-            check_difference_identity, *DIFFERENCE_IDENTITY_RANGE, values),
+        label: (len(indices) * len(points),
+                sum([len(check(index, points, values)) for index in indices]))
+        for label, check, (indices, points) in families
     }

@@ -8,9 +8,11 @@ checks of `identities` use too.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .rationals import CoefficientRow, horner
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # for annotations only: importing the oracle builds no Fraction
+    from fractions import Fraction
 
 __all__ = ["power_sum_bruteforce", "evaluate_row"]
 
@@ -32,5 +34,7 @@ def evaluate_row(row: CoefficientRow, n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError(f"rows are evaluated at n >= 1, got {n}")
+    from fractions import Fraction
+
     value, d = horner(row.numerators, row.denominator, n)
     return Fraction(n * value, d)

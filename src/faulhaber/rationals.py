@@ -218,19 +218,24 @@ def start_row(p: int, start: CoefficientRow | None) -> CoefficientRow:
     return start
 
 
-def horner(numerators: tuple[int, ...], d: int, x: Fraction | int) -> tuple[int, int]:
+def horner(numerators: tuple[int, ...], d: int, x: int | tuple[int, int]) -> tuple[int, int]:
     """The value at x of the polynomial sum_k numerators[k] t^k / d, by Horner's
     scheme on integers, as an unreduced pair (numerator, denominator).
 
-    With x = u/v and n + 1 = len(numerators) the value is
-    sum_k numerators[k] u^k v^(n-k) / (d v^n).  Horner runs on that
-    numerator with a running power of v; the denominator d v^n is positive,
-    and equals d at an integer x.
+    x is an int, or the rational u/v as an int pair (u, v) with v > 0.  At
+    an int the value is the plain Horner sum over d.  At u/v, with
+    n + 1 = len(numerators), it is sum_k numerators[k] u^k v^(n-k) / (d v^n):
+    Horner runs on that numerator with a running power of v, and the
+    denominator d v^n is positive.
     """
+    acc = 0
+    if type(x) is int:
+        for c in reversed(numerators):
+            acc = acc * x + c
+        return acc, d
     if not numerators:
         return 0, d
-    u, v = x.numerator, x.denominator
-    acc = 0
+    u, v = x
     power = 1  # v ** (number of coefficients folded in so far)
     for c in reversed(numerators):
         acc = acc * u + c * power

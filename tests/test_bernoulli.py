@@ -175,29 +175,31 @@ def test_polynomial_interpolates_both_conventions(i):
 
 def test_power_sum_identity_example():
     assert power_sum_bruteforce(2, 5) == 55  # 1 + 4 + 9 + 16 + 25
-    assert check_power_sum_identity(3, 5, VALUES)
+    assert check_power_sum_identity(3, range(5, 6), VALUES) == []
 
 
 @pytest.mark.parametrize("p", range(1, 13))
 def test_power_sum_identity_small_range(p):
-    assert all(check_power_sum_identity(p, n, VALUES) for n in range(1, 11))
+    assert check_power_sum_identity(p, range(1, 11), VALUES) == []
 
 
 def test_power_sum_identity_rejects_zero_index():
     with pytest.raises(ValueError):
-        check_power_sum_identity(0, 3, VALUES)
+        check_power_sum_identity(0, range(1, 4), VALUES)
 
 
-ENDPOINTS = (F(0), F(1), F(1, 2), F(-1), F(2))
+# Endpoints as (u, v) int pairs, and every (a, b) of them.
+ENDPOINTS = ((0, 1), (1, 1), (1, 2), (-1, 1), (2, 1))
+INTERVALS = tuple(itertools.product(ENDPOINTS, repeat=2))
 
 
 @pytest.mark.parametrize("i", range(0, 13))
 def test_integral_identity_small_range(i):
-    assert all(check_integral_identity(i, a, b, VALUES) for a in ENDPOINTS for b in ENDPOINTS)
+    assert check_integral_identity(i, INTERVALS, VALUES) == []
 
 
 def test_integral_identity_example():
-    assert check_integral_identity(2, F(0), F(1), VALUES)
+    assert check_integral_identity(2, (((0, 1), (1, 1)),), VALUES) == []
 
 
 def test_antiderivatives_are_integrated_once(monkeypatch):
@@ -214,10 +216,10 @@ def test_antiderivatives_are_integrated_once(monkeypatch):
     values = IdentityValues(31)
     assert len(integrated) == 32
     for i in (30, 3, 0, 17, 30):
-        assert all(check_integral_identity(i, a, b, values) for a in ENDPOINTS for b in ENDPOINTS)
+        assert check_integral_identity(i, INTERVALS, values) == []
         for x in ENDPOINTS:
-            integral = fraction_value(antiderivative(bernoulli_polynomial(i)), x)
-            assert F(*values(i, x, integrated=True)) == integral
+            integral = fraction_value(antiderivative(bernoulli_polynomial(i)), F(*x))
+            assert F(*values(i, integrated=True)[x]) == integral
     assert integrated == [scaled([c.as_integer_ratio() for c in bernoulli_polynomial(i)])
                           for i in range(32)]
 
@@ -241,32 +243,34 @@ def test_identity_values_build_no_fraction_of_their_own(monkeypatch):
 
 def test_values_above_the_limit_rejected():
     values = IdentityValues(4)
-    assert values(4, 2) == VALUES(4, 2)
-    assert values(4, F(1, 2), integrated=True) == VALUES(4, F(1, 2), integrated=True)
+    assert values(4)[2] == VALUES(4)[2]
+    assert values(4, integrated=True)[(1, 2)] == VALUES(4, integrated=True)[(1, 2)]
     with pytest.raises(ValueError, match="B_5"):
-        values(5, 2)
+        values(5)
     with pytest.raises(ValueError, match="B_5"):
-        values(5, 2, integrated=True)
+        values(5, integrated=True)
+    with pytest.raises(ValueError, match="B_-1"):
+        values(-1)
     with pytest.raises(ValueError, match="B_5"):
-        check_integral_identity(4, F(0), F(1), values)
+        check_integral_identity(4, (((0, 1), (1, 1)),), values)
     with pytest.raises(ValueError, match="B_5"):
-        check_difference_identity(5, 2, values)
+        check_difference_identity(5, range(2, 3), values)
 
 
 def test_difference_identity_example():
     # B_2(4) - B_2(3) = 2 * 3
-    assert check_difference_identity(2, 3, VALUES)
+    assert check_difference_identity(2, range(3, 4), VALUES) == []
 
 
 @pytest.mark.parametrize("i", range(2, 13))
 def test_difference_identity_small_range(i):
-    assert all(check_difference_identity(i, n, VALUES) for n in range(0, 11))
+    assert check_difference_identity(i, range(0, 11), VALUES) == []
 
 
 @pytest.mark.parametrize("i", [0, 1])
 def test_difference_identity_rejects_low_index(i):
     with pytest.raises(ValueError):
-        check_difference_identity(i, 4, VALUES)
+        check_difference_identity(i, range(4, 5), VALUES)
 
 
 def fraction_value(f, x):
@@ -288,7 +292,8 @@ def power_sum_by_fractions(p, n, values):
     return power_sum_bruteforce(p - 1, n) == right
 
 
-def integral_by_fractions(i, a, b, values):
+def integral_by_fractions(i, interval, values):
+    a, b = (F(*x) for x in interval)
     integral = antiderivative(values.polynomials[i])
     successor = values.polynomials[i + 1]
     left = fraction_value(integral, b) - fraction_value(integral, a)
@@ -312,16 +317,65 @@ IDENTITY_FAMILIES = [
     "check, reference, ranges", IDENTITY_FAMILIES, ids=["power-sum", "integral", "difference"])
 def test_integer_checks_agree_with_fraction_arithmetic(
         shift_b4_linear, shift_b4, check, reference, ranges):
-    # Over the whole default range of `verify`, the integer cross-multiplied
-    # checks give the same verdicts as the identities written in Fractions,
-    # for the true polynomials and with the linear coefficient of B_4 shifted
-    # where `IdentityValues` builds it (its antiderivative then integrates
-    # the shifted B_4).
+    # For every polynomial of each family over the whole default range of
+    # `verify`, the integer cross-multiplied check returns exactly the
+    # points where the identity written in Fractions fails, for the true
+    # polynomials and with the linear coefficient of B_4 shifted where
+    # `IdentityValues` builds it (its antiderivative then integrates the
+    # shifted B_4).
     if shift_b4:
         shift_b4_linear()
     values = IdentityValues(31)
     assert (values.polynomials[4] == bernoulli_polynomial(4)) is not shift_b4
-    points = list(itertools.product(*ranges, [values]))
-    verdicts = [check(*args) for args in points]
-    assert verdicts == [reference(*args) for args in points]
-    assert all(verdicts) is not shift_b4
+    indices, points = ranges
+    failed = 0
+    for index in indices:
+        failures = check(index, points, values)
+        assert failures == [x for x in points if not reference(index, x, values)]
+        failed += len(failures)
+    assert (failed > 0) is shift_b4
+
+
+# The value each perturbation test shifts: B_7 at x = 5.
+PERTURBED = 7, 5
+
+
+def reads_perturbed(family, index, x):
+    """Does the check of `family` at polynomial `index` and point `x` read
+    B_7(5), counted from the identity as written?"""
+    i, at = PERTURBED
+    if family == "power-sum identity":  # B_p(n+1) and B_p(1)
+        return index == i and at in (x + 1, 1)
+    if family == "integral identity":  # the antiderivative of B_i and B_{i+1} at a, b
+        return index + 1 == i and (at, 1) in x
+    return index == i and at in (x, x + 1)  # difference: B_i(n+1) and B_i(n)
+
+
+def test_each_check_reads_its_own_values(monkeypatch):
+    # B_7(5) shifted by one where `horner` gives it: each family fails
+    # exactly at the checks that read that value, counted from the ranges,
+    # so no check was merged with another or dropped.
+    genuine = identities.horner
+    form = scaled([c.as_integer_ratio() for c in bernoulli_polynomial(PERTURBED[0])])
+
+    def perturbed(numerators, d, x):
+        value, denominator = genuine(numerators, d, x)
+        if (numerators, d) == form and x == PERTURBED[1]:
+            value += 1
+        return value, denominator
+
+    monkeypatch.setattr(identities, "horner", perturbed)
+    expected = {}
+    for family, (indices, points) in (
+        ("power-sum identity", identities.POWER_SUM_IDENTITY_RANGE),
+        ("integral identity", identities.INTEGRAL_IDENTITY_RANGE),
+        ("difference identity", identities.DIFFERENCE_IDENTITY_RANGE),
+    ):
+        reads = sum(reads_perturbed(family, index, x) for index in indices for x in points)
+        expected[family] = len(indices) * len(points), reads
+    assert expected == {"power-sum identity": (600, 1), "integral identity": (775, 0),
+                        "difference identity": (609, 2)}
+    assert identities.tallies() == expected
+    values = IdentityValues(31)
+    assert check_power_sum_identity(7, range(1, 21), values) == [4]
+    assert check_difference_identity(7, range(0, 21), values) == [4, 5]

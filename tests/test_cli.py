@@ -374,7 +374,7 @@ def test_verify_reports_failed_identities(capsys, monkeypatch, shift_b4_linear):
 def test_identity_phase_evaluates_each_polynomial_once_per_point(monkeypatch):
     # Every (polynomial, point) pair the three families need is evaluated by
     # `horner` once per identity phase, an integer point and the equal
-    # Fraction endpoint sharing one value; a second phase evaluates them again.
+    # (u, 1) endpoint sharing one value; a second phase evaluates them again.
     evaluations = []
     genuine = faulhaber.identities.horner
 
@@ -386,7 +386,8 @@ def test_identity_phase_evaluates_each_polynomial_once_per_point(monkeypatch):
     pairs = set()
     for p, n in itertools.product(*faulhaber.identities.POWER_SUM_IDENTITY_RANGE):
         pairs |= {("B", p, Fraction(n + 1)), ("B", p, Fraction(1))}
-    for i, a, b in itertools.product(*faulhaber.identities.INTEGRAL_IDENTITY_RANGE):
+    for i, (a, b) in itertools.product(*faulhaber.identities.INTEGRAL_IDENTITY_RANGE):
+        a, b = Fraction(*a), Fraction(*b)
         pairs |= {("antiderivative", i, a), ("antiderivative", i, b)}
         pairs |= {("B", i + 1, a), ("B", i + 1, b)}
     for i, n in itertools.product(*faulhaber.identities.DIFFERENCE_IDENTITY_RANGE):

@@ -97,7 +97,8 @@ def horner_oracle(f, x):
     return acc
 
 
-# Zero, negative and positive ints, and proper fractions of either sign.
+# Zero, negative and positive ints, and proper fractions of either sign,
+# each given to `horner` as an int (the ints only) and as a (u, v) pair.
 POINTS = st.one_of(
     st.integers(-50, 50),
     st.fractions(min_value=-1, max_value=1, max_denominator=60),
@@ -115,10 +116,14 @@ COEFFICIENTS = st.one_of(st.integers(-10**6, 10**6), st.fractions())
 @example([5], F(-7, 3))
 @example([F(1, 2), F(-1, 3)], F(-3, 5))
 def test_horner_matches_fraction_horner(coeffs, x):
+    forms = [x.as_integer_ratio()] + [x] * (type(x) is int)
     for f in (tuple(coeffs), polynomial(coeffs)):
-        numerator, denominator = horner(*scaled(f), x)
-        assert type(numerator) is int and type(denominator) is int and denominator > 0
-        assert Fraction(numerator, denominator) == horner_oracle(f, x)
+        for form in forms:
+            numerator, denominator = horner(*scaled(f), form)
+            assert type(numerator) is int and type(denominator) is int and denominator > 0
+            assert Fraction(numerator, denominator) == horner_oracle(f, x)
+            if type(form) is int:  # the int path keeps d itself
+                assert denominator == scaled(f)[1]
 
 
 def test_polynomial_trims_trailing_zeros():

@@ -12,7 +12,8 @@ on the direct path, whose steps the operation counts are defined on,
 `eval`, whose value is a `Fraction`, `verify` and `bench`; `bench` runs
 only the counted direct pass and loads no other path.  Every row
 format and the `bernoulli` table print from integer pairs, and no module of
-the paths builds a `Fraction` when it is imported.  Each program
+the paths, nor the oracle or `identities`, builds a `Fraction` when it is
+imported.  Each program
 runs in a fresh interpreter under `-S`, so that no `site` hook (a `.pth`
 file of some installed package) preloads modules first.
 """
@@ -50,9 +51,8 @@ print("loaded:", *sorted(m for m in sys.modules if m.startswith("faulhaber.") or
     "argparse", "gettext", "locale", "json", "fractions", "decimal", "numbers")))
 """
 
-# Counts the Fractions built while the CLI and the modules of the paths and
-# the oracle are imported.  Not `identities`: its integral endpoints are
-# Fractions by design.
+# Counts the Fractions built while the CLI, the modules of the paths, the
+# oracle and `identities` are imported.
 CONSTRUCTION_PROGRAM = """\
 import fractions
 built = 0
@@ -63,7 +63,7 @@ def counting_new(cls, *args, **kwargs):
     return new(cls, *args, **kwargs)
 fractions.Fraction.__new__ = staticmethod(counting_new)
 import faulhaber.cli
-from faulhaber import bernoulli, direct, integration, oracle, rationals
+from faulhaber import bernoulli, direct, identities, integration, oracle, rationals
 print(built)
 """
 
