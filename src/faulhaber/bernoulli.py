@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from math import comb, gcd
 
-from .rationals import CoefficientRow, FrozenRecord, exact, scaled
+from .rationals import CoefficientRow, FrozenRecord, scaled
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # for annotations only: no command that prints loads `fractions`
@@ -58,31 +58,28 @@ class BernoulliTable(FrozenRecord):
     positive and prime to the numerator: (-1, 2) at k = 1, (0, 1) at every
     odd k >= 3.  `ratios_plus` is read from it, with b_1 = (1, 2) and every
     other pair the same object.  `values_minus` and `values_plus` give the
-    numbers as `Fraction`s, built when first read and kept:
-    values_plus[k] is values_minus[k] for k != 1.  Built by hand, a table
-    takes the numbers, each a `Fraction` or an int, and keeps them as its
-    `values_minus`; `bernoulli_numbers` builds one from its pairs.
+    numbers as `Fraction`s, a new tuple at each read.  The constructor takes
+    the pairs, as `bernoulli_numbers` does; it raises ValueError on an empty
+    table, on an entry that is not a reduced pair of ints with a positive
+    denominator, and on a b_1 other than (-1, 2).
     """
 
-    __slots__ = ("ratios_minus", "_minus", "_plus")
+    __slots__ = ("ratios_minus",)
     ratios_minus: tuple[tuple[int, int], ...]
 
-    def __init__(self, values_minus: tuple[Fraction, ...]) -> None:
-        values_minus = exact(tuple(values_minus), "b_{}".format)
-        if not values_minus:
+    def __init__(self, ratios_minus: tuple[tuple[int, int], ...]) -> None:
+        ratios = tuple(ratios_minus)  # a tuple: the caller's list stays the caller's
+        if not ratios:
             raise ValueError("a table holds b_0 at least, got no numbers")
-        ratios = tuple([b.as_integer_ratio() for b in values_minus])
+        for k, ratio in enumerate(ratios):
+            if not (type(ratio) is tuple and len(ratio) == 2
+                    and type(ratio[0]) is type(ratio[1]) is int
+                    and ratio[1] > 0 and gcd(*ratio) == 1):
+                raise ValueError(f"b_{k} is not a reduced pair of ints with a "
+                                 f"positive denominator: {ratio!r}")
         if ratios[1:2] not in ((), ((-1, 2),)):
-            raise ValueError(f"a table stores b_1 = -1/2, got b_1 = {values_minus[1]}")
-        super().__init__(ratios, values_minus, None)
-
-    @classmethod
-    def from_ratios(cls, ratios_minus: tuple[tuple[int, int], ...]) -> BernoulliTable:
-        """The table of the minus-convention pairs `ratios_minus`, each
-        already reduced, with b_1 = (-1, 2)."""
-        table = object.__new__(cls)
-        FrozenRecord.__init__(table, ratios_minus, None, None)
-        return table
+            raise ValueError(f"a table stores b_1 = (-1, 2), got b_1 = {ratios[1]!r}")
+        super().__init__(ratios)
 
     @property
     def limit(self) -> int:
@@ -95,32 +92,15 @@ class BernoulliTable(FrozenRecord):
 
     @property
     def values_minus(self) -> tuple[Fraction, ...]:
-        if self._minus is None:
-            from fractions import Fraction
+        from fractions import Fraction
 
-            object.__setattr__(
-                self, "_minus", tuple([Fraction(*ratio) for ratio in self.ratios_minus]))
-        return self._minus
+        return tuple([Fraction(*ratio) for ratio in self.ratios_minus])
 
     @property
     def values_plus(self) -> tuple[Fraction, ...]:
-        if self._plus is None:
-            from fractions import Fraction
+        from fractions import Fraction
 
-            minus = self.values_minus
-            object.__setattr__(self, "_plus", minus if len(minus) < 2
-                               else (minus[0], Fraction(1, 2), *minus[2:]))
-        return self._plus
-
-    def _fields(self) -> tuple:
-        # Equality and hashing read the pairs, never the Fractions.
-        return (self.ratios_minus,)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(values_minus={self.values_minus!r})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), (self.values_minus,)
+        return tuple([Fraction(*ratio) for ratio in self.ratios_plus])
 
 
 def bernoulli_numbers(m: int) -> BernoulliTable:
@@ -151,7 +131,7 @@ def bernoulli_numbers(m: int) -> BernoulliTable:
         num, den = num // g, den // g
         minus += ((num if k % 2 else -num, den), (0, 1))
     del minus[m + 1:]
-    return BernoulliTable.from_ratios(tuple(minus))
+    return BernoulliTable(minus)
 
 
 def faulhaber_via_bernoulli(p: int, table: BernoulliTable | None = None) -> CoefficientRow:

@@ -28,7 +28,7 @@ Point = int | tuple[int, int]
 # Fixed default ranges for the identity checks run by `verify`: each family
 # is checked for every index of its first range at every point of its second.
 POWER_SUM_IDENTITY_RANGE = (range(1, 31), range(1, 21))  # p, n
-INTEGRAL_IDENTITY_ENDPOINTS = ((0, 1), (1, 1), (1, 2), (-1, 1), (2, 1))
+INTEGRAL_IDENTITY_ENDPOINTS = (0, 1, (1, 2), -1, 2)
 INTEGRAL_IDENTITY_RANGE = (  # i, (a, b)
     range(0, 31), tuple(itertools.product(INTEGRAL_IDENTITY_ENDPOINTS, repeat=2)))
 DIFFERENCE_IDENTITY_RANGE = (range(2, 31), range(0, 21))  # i, n
@@ -47,7 +47,7 @@ def _integrate_pair(numerators: tuple[int, ...], d: int) -> Scaled:
 class PolynomialValues(dict):
     """The values of one polynomial, held as its pair `numerators` over
     `denominator`, by point: `values[x]` is computed by `horner` when first
-    read and kept.  A pair (u, 1) shares the value of the int u."""
+    read and kept."""
 
     __slots__ = ("numerators", "denominator")
 
@@ -55,11 +55,7 @@ class PolynomialValues(dict):
         self.numerators, self.denominator = form
 
     def __missing__(self, x: Point) -> tuple[int, int]:
-        if type(x) is tuple and x[1] == 1:
-            value = self[x[0]]
-        else:
-            value = horner(self.numerators, self.denominator, x)
-        self[x] = value
+        self[x] = value = horner(self.numerators, self.denominator, x)
         return value
 
 
@@ -73,15 +69,14 @@ class IdentityValues:
     integer x.  An index outside 0..limit raises ValueError.
     """
 
-    __slots__ = ("limit", "polynomials", "_values")
+    __slots__ = ("limit", "_values")
 
     def __init__(self, limit: int) -> None:
         table = bernoulli.bernoulli_numbers(limit)
         self.limit = limit
         # Through the module attribute, which a tracer or a test may wrap.
-        self.polynomials = tuple(bernoulli.bernoulli_polynomial(i, table)
-                                 for i in range(limit + 1))
-        forms = [scaled([c.as_integer_ratio() for c in f]) for f in self.polynomials]
+        polynomials = [bernoulli.bernoulli_polynomial(i, table) for i in range(limit + 1)]
+        forms = [scaled([c.as_integer_ratio() for c in f]) for f in polynomials]
         self._values = (tuple([PolynomialValues(form) for form in forms]),
                         tuple([PolynomialValues(_integrate_pair(*form)) for form in forms]))
 

@@ -10,7 +10,6 @@ from their pairs never loads it.  It holds:
 
 - the record bases `Record` and `FrozenRecord`, the `CoefficientRow`
   every path returns, and `start_row`, the row both recurrences resume from;
-- `exact`, the check both records with rational entries run on them;
 - `scaled`, which puts reduced fractions over their least common
   denominator: the `Scaled` pair every row and polynomial is held as;
 - `horner`, the exact value of a polynomial held as integers over one
@@ -22,7 +21,6 @@ from math import lcm
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # for annotations only
-    from collections.abc import Callable
     from fractions import Fraction
 
 __all__ = ["CoefficientRow"]
@@ -39,20 +37,6 @@ def scaled(ratios: list[tuple[int, int]]) -> Scaled:
     in some entry's denominator, over a numerator prime to it."""
     d = lcm(*[den for _, den in ratios])
     return tuple([num * (d // den) for num, den in ratios]), d
-
-
-def exact(entries: tuple, name: Callable[[int], str]) -> tuple[Fraction, ...]:
-    """`entries`, each int turned into a Fraction.  Any entry of another type,
-    a float, a `Decimal` or a numpy integer, raises ValueError naming it by
-    `name(index)`: no record holds an inexact number."""
-    from fractions import Fraction
-
-    if set(map(type, entries)) - {Fraction}:  # entries all Fractions skip the checks
-        for k, c in enumerate(entries):
-            if not isinstance(c, (Fraction, int)):
-                raise ValueError(f"{name(k)} is not a Fraction or int: {c!r}")
-        entries = tuple([Fraction(c) if isinstance(c, int) else c for c in entries])
-    return entries
 
 
 # Plain value records, the package's data classes without `dataclasses`,
@@ -157,8 +141,16 @@ class CoefficientRow(FrozenRecord):
                 f"a row of degree {degree} holds {degree + 1} "
                 f"coefficients, got {len(coefficients)}"
             )
+        from fractions import Fraction
+
         # A tuple: the caller's list stays the caller's.
-        coefficients = exact(tuple(coefficients), lambda k: f"coefficient of n^{k + 1}")
+        coefficients = tuple(coefficients)
+        if set(map(type, coefficients)) - {Fraction}:  # all Fractions skip the checks
+            for k, c in enumerate(coefficients, 1):
+                if not isinstance(c, (Fraction, int)):
+                    raise ValueError(f"coefficient of n^{k} is not a Fraction or int: {c!r}")
+            coefficients = tuple([Fraction(c) if isinstance(c, int) else c
+                                  for c in coefficients])
         numerators, d = scaled([c.as_integer_ratio() for c in coefficients])
         super().__init__(degree, numerators, d, coefficients)
 

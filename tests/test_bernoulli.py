@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import faulhaber.bernoulli
 from faulhaber import identities
 from faulhaber import (
     BernoulliTable,
@@ -68,12 +69,13 @@ def test_table_matches_akiyama_tanigawa_oracle():
 def test_table_shape_and_conventions():
     table = bernoulli_numbers(50)
     assert table.limit == 50
-    assert table.values_minus[0] == table.values_plus[0] == 1
-    assert table.values_plus[1] == -table.values_minus[1] == F(1, 2)
+    minus, plus = table.values_minus, table.values_plus
+    assert minus[0] == plus[0] == 1
+    assert plus[1] == -minus[1] == F(1, 2)
     for k in range(2, 51):  # read from the one stored convention
-        assert table.values_plus[k] is table.values_minus[k]
+        assert plus[k] == minus[k]
     for k in range(3, 51, 2):
-        assert table.values_plus[k] == 0
+        assert plus[k] == 0
     table = bernoulli_numbers(0)
     assert table.limit == 0 and table.values_plus == table.values_minus == (1,)
 
@@ -88,11 +90,11 @@ def test_tables_do_not_depend_on_request_order(limits):
 
 def test_denominators_follow_von_staudt_clausen():
     # The denominator of B_2k is the product of the primes q with (q - 1) | 2k.
-    table = bernoulli_numbers(1000)
+    minus = bernoulli_numbers(1000).values_minus
     primes = [q for q in range(2, 1002) if all(q % d for d in range(2, isqrt(q) + 1))]
     for index in range(2, 1001, 2):
         divisors = [q for q in primes if index % (q - 1) == 0]
-        assert table.values_minus[index].denominator == prod(divisors)
+        assert minus[index].denominator == prod(divisors)
 
 
 def test_negative_limit_rejected():
@@ -127,9 +129,9 @@ def test_closed_formula_rows_read_the_table_passed():
     # The row is read from the table given, not from one built afresh:
     # shifting b_2 by 1 (once: the plus convention is read from the minus
     # one) shifts the coefficient of n^5 in row 6 by C(7, 2)/7.
-    minus = list(bernoulli_numbers(6).values_minus)
-    minus[2] += 1
-    shifted = BernoulliTable(tuple(minus))
+    minus = list(bernoulli_numbers(6).ratios_minus)
+    minus[2] = (F(*minus[2]) + 1).as_integer_ratio()
+    shifted = BernoulliTable(minus)
     expected = list(faulhaber_via_bernoulli(6).coefficients)
     expected[4] += F(comb(7, 2), 7)
     assert faulhaber_via_bernoulli(6, shifted).coefficients == tuple(expected)
@@ -151,10 +153,8 @@ def test_polynomials_do_not_depend_on_request_order():
     # 31, each polynomial equals a fresh build from its numbers.
     shared = bernoulli_numbers(31)
     for i in (30, 3, 31, 0, 17, 31):
-        table = bernoulli_numbers(i)
-        fresh = polynomial(
-            comb(i, k) * table.values_minus[k] for k in range(i, -1, -1)
-        )
+        minus = bernoulli_numbers(i).values_minus
+        fresh = polynomial(comb(i, k) * minus[k] for k in range(i, -1, -1))
         assert bernoulli_polynomial(i) == fresh
         assert bernoulli_polynomial(i, shared) == fresh
 
@@ -286,22 +286,27 @@ def antiderivative(f):
     return (F(0),) + tuple(c / (k + 1) for k, c in enumerate(f)) if f else ()
 
 
-def power_sum_by_fractions(p, n, values):
-    b_poly = values.polynomials[p]
+def point(x):
+    """A check's point, an int or an int pair (u, v), as a Fraction."""
+    return F(*x) if type(x) is tuple else F(x)
+
+
+def power_sum_by_fractions(p, n, polynomials):
+    b_poly = polynomials[p]
     right = (fraction_value(b_poly, n + 1) - fraction_value(b_poly, 1)) / p
     return power_sum_bruteforce(p - 1, n) == right
 
 
-def integral_by_fractions(i, interval, values):
-    a, b = (F(*x) for x in interval)
-    integral = antiderivative(values.polynomials[i])
-    successor = values.polynomials[i + 1]
+def integral_by_fractions(i, interval, polynomials):
+    a, b = map(point, interval)
+    integral = antiderivative(polynomials[i])
+    successor = polynomials[i + 1]
     left = fraction_value(integral, b) - fraction_value(integral, a)
     return left == (fraction_value(successor, b) - fraction_value(successor, a)) / (i + 1)
 
 
-def difference_by_fractions(i, n, values):
-    b_poly = values.polynomials[i]
+def difference_by_fractions(i, n, polynomials):
+    b_poly = polynomials[i]
     return fraction_value(b_poly, n + 1) - fraction_value(b_poly, n) == i * n ** (i - 1)
 
 
@@ -322,16 +327,20 @@ def test_integer_checks_agree_with_fraction_arithmetic(
     # points where the identity written in Fractions fails, for the true
     # polynomials and with the linear coefficient of B_4 shifted where
     # `IdentityValues` builds it (its antiderivative then integrates the
-    # shifted B_4).
+    # shifted B_4).  The reference reads B_i from the same place.
     if shift_b4:
         shift_b4_linear()
     values = IdentityValues(31)
-    assert (values.polynomials[4] == bernoulli_polynomial(4)) is not shift_b4
+    table = bernoulli_numbers(31)
+    polynomials = [faulhaber.bernoulli.bernoulli_polynomial(i, table) for i in range(32)]
+    b4 = values(4)
+    assert ((b4.numerators, b4.denominator) == scaled(
+        [c.as_integer_ratio() for c in bernoulli_polynomial(4)])) is not shift_b4
     indices, points = ranges
     failed = 0
     for index in indices:
         failures = check(index, points, values)
-        assert failures == [x for x in points if not reference(index, x, values)]
+        assert failures == [x for x in points if not reference(index, x, polynomials)]
         failed += len(failures)
     assert (failed > 0) is shift_b4
 
@@ -347,7 +356,7 @@ def reads_perturbed(family, index, x):
     if family == "power-sum identity":  # B_p(n+1) and B_p(1)
         return index == i and at in (x + 1, 1)
     if family == "integral identity":  # the antiderivative of B_i and B_{i+1} at a, b
-        return index + 1 == i and (at, 1) in x
+        return index + 1 == i and at in x
     return index == i and at in (x, x + 1)  # difference: B_i(n+1) and B_i(n)
 
 

@@ -373,8 +373,9 @@ def test_verify_reports_failed_identities(capsys, monkeypatch, shift_b4_linear):
 
 def test_identity_phase_evaluates_each_polynomial_once_per_point(monkeypatch):
     # Every (polynomial, point) pair the three families need is evaluated by
-    # `horner` once per identity phase, an integer point and the equal
-    # (u, 1) endpoint sharing one value; a second phase evaluates them again.
+    # `horner` once per identity phase, an integral endpoint and the equal
+    # integer point of another family sharing one value; a second phase
+    # evaluates them again.
     evaluations = []
     genuine = faulhaber.identities.horner
 
@@ -387,7 +388,7 @@ def test_identity_phase_evaluates_each_polynomial_once_per_point(monkeypatch):
     for p, n in itertools.product(*faulhaber.identities.POWER_SUM_IDENTITY_RANGE):
         pairs |= {("B", p, Fraction(n + 1)), ("B", p, Fraction(1))}
     for i, (a, b) in itertools.product(*faulhaber.identities.INTEGRAL_IDENTITY_RANGE):
-        a, b = Fraction(*a), Fraction(*b)
+        a, b = (Fraction(*x) if type(x) is tuple else Fraction(x) for x in (a, b))
         pairs |= {("antiderivative", i, a), ("antiderivative", i, b)}
         pairs |= {("B", i + 1, a), ("B", i + 1, b)}
     for i, n in itertools.product(*faulhaber.identities.DIFFERENCE_IDENTITY_RANGE):

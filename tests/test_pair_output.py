@@ -1,7 +1,7 @@
 """Rows and Bernoulli tables print from their integer pairs, byte for byte
-as the `Fraction`-based rendering printed them, and a `BernoulliTable`
-held as reduced pairs behaves as the table of `Fraction`s did: equality,
-hashing, copy, pickle, repr and the rejection of inexact entries."""
+as the `Fraction`-based rendering printed them, and a `BernoulliTable`,
+held as its reduced pairs alone, behaves as the table of `Fraction`s did:
+equality, hashing, copy, pickle, repr and the rejection of inexact entries."""
 import copy
 import json
 import pickle
@@ -94,14 +94,24 @@ def test_bernoulli_table_prints_the_fraction_bytes(capsys, m, convention):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 10, 81])
 def test_a_table_of_fractions_equals_and_hashes_as_the_table_of_pairs(m):
+    # A table built by hand from Fractions takes their integer ratios.
     built = bernoulli_numbers(m)
     values = [F(n, d) for n, d in built.ratios_minus]
-    for table in (BernoulliTable(values), BernoulliTable([int(b) if b.denominator == 1
-                                                          else b for b in values])):
-        assert table == built and hash(table) == hash(built)
-        assert table.ratios_minus == built.ratios_minus
-        assert table.values_plus == built.values_plus
-    assert BernoulliTable(values) != bernoulli_numbers(m + 2)
+    table = BernoulliTable([b.as_integer_ratio() for b in values])
+    assert table == built and hash(table) == hash(built)
+    assert table.ratios_minus == built.ratios_minus
+    assert table.values_minus == tuple(values)
+    assert table.values_plus == built.values_plus
+    assert table != bernoulli_numbers(m + 2)
+
+
+@pytest.mark.parametrize("m", [*range(61), 400])
+def test_a_table_rebuilt_from_its_pairs_is_the_same_table(m):
+    table = bernoulli_numbers(m)
+    rebuilt = BernoulliTable(table.ratios_minus)
+    assert rebuilt == table and hash(rebuilt) == hash(table)
+    assert rebuilt.values_minus == table.values_minus
+    assert rebuilt.values_plus == table.values_plus
 
 
 def test_pairs_are_reduced_with_b1_read_once():
@@ -111,8 +121,8 @@ def test_pairs_are_reduced_with_b1_read_once():
     assert table.ratios_minus[1] == (-1, 2) and table.ratios_plus[1] == (1, 2)
     assert all(a is b for k, (a, b) in enumerate(zip(table.ratios_minus, table.ratios_plus))
                if k != 1)
-    assert table.values_minus is table.values_minus  # built once, then kept
-    assert table.values_plus[2] is table.values_minus[2]
+    assert table.values_minus is not table.values_minus  # built at each read
+    assert table.values_plus[2] == table.values_minus[2]
 
 
 @pytest.mark.parametrize("m", [0, 1, 6])
@@ -121,17 +131,21 @@ def test_a_table_of_pairs_copies_pickles_and_reprs_as_before(m):
     for clone in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
         assert type(clone) is BernoulliTable and clone == table and hash(clone) == hash(table)
         assert clone.values_minus == table.values_minus
-    expected = {0: "(Fraction(1, 1),)", 1: "(Fraction(1, 1), Fraction(-1, 2))"}.get(
-        m, "(Fraction(1, 1), Fraction(-1, 2), Fraction(1, 6), Fraction(0, 1), "
-           "Fraction(-1, 30), Fraction(0, 1), Fraction(1, 42))")
-    assert repr(table) == f"BernoulliTable(values_minus={expected})"
+    expected = {0: "((1, 1),)", 1: "((1, 1), (-1, 2))"}.get(
+        m, "((1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42))")
+    assert repr(table) == f"BernoulliTable(ratios_minus={expected})"
+    assert eval(repr(table), {"BernoulliTable": BernoulliTable}) == table
 
 
 @pytest.mark.parametrize("values, message", [
-    ((1.0,), "b_0 is not a Fraction or int: 1.0"),
-    ((F(1), -0.5), "b_1 is not a Fraction or int: -0.5"),
-    ((F(1), F(-1, 2), 1 / 6), "b_2 is not a Fraction or int: 0.16666666666666666"),
-])
+    (((1.0, 1),), "b_0 is not a reduced pair of ints with a positive denominator: (1.0, 1)"),
+    (((1, 1), (-0.5, 1)),
+     "b_1 is not a reduced pair of ints with a positive denominator: (-0.5, 1)"),
+    (((1, 1), (-1, 2), (1, 6.0)),
+     "b_2 is not a reduced pair of ints with a positive denominator: (1, 6.0)"),
+    ((F(1), F(-1, 2)),
+     "b_0 is not a reduced pair of ints with a positive denominator: Fraction(1, 1)"),
+], ids=["float-numerator", "float-b1", "float-denominator", "fraction-entry"])
 def test_a_float_entry_is_still_rejected(values, message):
     with pytest.raises(ValueError) as excinfo:
         BernoulliTable(values)

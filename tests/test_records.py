@@ -17,7 +17,7 @@ F = Fraction
 # class -> the constructor's keyword arguments, in positional order
 FIELDS = {
     CoefficientRow: {"degree": 2, "coefficients": (F(1, 6), F(1, 2), F(1, 3))},
-    BernoulliTable: {"values_minus": (F(1), F(-1, 2))},
+    BernoulliTable: {"ratios_minus": ((1, 1), (-1, 2))},
     Mismatch: {"p": 7, "pair": "direct vs lemma", "power": 3},
     OpCounter: {"additions": 54, "multiplications": 45},
     VerifyReport: {
@@ -64,7 +64,7 @@ def test_one_different_field_breaks_equality(cls):
     if cls is CoefficientRow:  # keep the row valid
         fields["coefficients"] = (F(1),)
     if cls is BernoulliTable:  # keep the table valid
-        fields["values_minus"] = (F(1),)
+        fields["ratios_minus"] = ((1, 1),)
     assert cls(**fields) != build(cls)
 
 
@@ -122,6 +122,8 @@ class Ratio:
 
 numbers.Rational.register(Ratio)
 
+NOT_A_PAIR = "is not a reduced pair of ints with a positive denominator"
+
 
 @pytest.mark.parametrize(
     "cls, fields, message",
@@ -134,16 +136,25 @@ numbers.Rational.register(Ratio)
          "coefficient of n^2 is not a Fraction or int: Decimal('0.5')"),
         (CoefficientRow, (0, (Ratio(),)), "coefficient of n^1 is not a Fraction or int: Ratio(1)"),
         (BernoulliTable, ((),), "a table holds b_0 at least, got no numbers"),
-        (BernoulliTable, ((F(1), F(1, 2), F(1, 6)),),
-         "a table stores b_1 = -1/2, got b_1 = 1/2"),
-        # -0.5 == F(-1, 2): the b_1 check alone would take this table.
-        (BernoulliTable, ((1.0, -0.5, 0.1),), "b_0 is not a Fraction or int: 1.0"),
-        (BernoulliTable, ((F(1), F(-1, 2), Decimal("0.1")),),
-         "b_2 is not a Fraction or int: Decimal('0.1')"),
+        (BernoulliTable, (((1, 1), (1, 2), (1, 6)),),
+         "a table stores b_1 = (-1, 2), got b_1 = (1, 2)"),
+        # (-1.0, 2) == (-1, 2): the b_1 check alone would take this table.
+        (BernoulliTable, (((1, 1), (-1.0, 2)),),
+         f"b_1 {NOT_A_PAIR}: (-1.0, 2)"),
+        (BernoulliTable, (((1, 1), (-1, 2), (Decimal(1), 6)),),
+         f"b_2 {NOT_A_PAIR}: (Decimal('1'), 6)"),
+        (BernoulliTable, (((1, 1), (-1, 2), (2, 4)),), f"b_2 {NOT_A_PAIR}: (2, 4)"),
+        (BernoulliTable, (((1, 1), (-1, 2), (1, 6), (0, 2)),), f"b_3 {NOT_A_PAIR}: (0, 2)"),
+        (BernoulliTable, (((1, 1), (-1, 2), (1, 0)),), f"b_2 {NOT_A_PAIR}: (1, 0)"),
+        (BernoulliTable, (((1, 1), (-1, 2), (-1, -6)),), f"b_2 {NOT_A_PAIR}: (-1, -6)"),
+        (BernoulliTable, ((1, (-1, 2)),), f"b_0 {NOT_A_PAIR}: 1"),
+        (BernoulliTable, (((1, 1), (-1, 2, 1)),), f"b_1 {NOT_A_PAIR}: (-1, 2, 1)"),
     ],
     ids=["row-negative-degree", "row-too-short", "row-float-entry", "row-decimal-entry",
          "row-registered-rational", "table-too-short", "table-b1-conflated",
-         "table-float-entry", "table-decimal-entry"],
+         "table-float-entry", "table-decimal-entry", "table-unreduced-entry",
+         "table-unreduced-zero", "table-zero-denominator", "table-negative-denominator",
+         "table-bare-int", "table-triple"],
 )
 def test_records_reject_malformed_fields(cls, fields, message):
     with pytest.raises(ValueError) as excinfo:
@@ -160,16 +171,18 @@ def test_a_row_keeps_no_reference_to_the_callers_list():
     assert direct_coefficients(2, start=row) == direct_coefficients(2)
 
 
-@pytest.mark.parametrize("values", [[F(1), F(-1, 2), F(1, 6)], [F(1)]])
+@pytest.mark.parametrize("values", [[(1, 1), (-1, 2), (1, 6)], [(1, 1)]])
 def test_a_table_stores_a_tuple_of_a_list(values):
     table = BernoulliTable(values)
-    assert table.values_minus == tuple(values) and type(table.values_minus) is tuple
+    assert table.ratios_minus == tuple(values) and type(table.ratios_minus) is tuple
     assert table == BernoulliTable(tuple(values)) and table.limit == len(values) - 1
-    values[0] = F(7)
-    assert table.values_minus[0] == 1
+    values[0] = (7, 1)
+    assert table.ratios_minus[0] == (1, 1)
 
 
-def test_a_table_stores_each_int_as_a_fraction():
-    table = BernoulliTable((1, F(-1, 2), F(1, 6), 0))
-    assert [type(b) for b in table.values_minus] == [Fraction] * 4
-    assert table == BernoulliTable((F(1), F(-1, 2), F(1, 6), F(0)))
+def test_a_table_builds_its_fractions_at_each_read():
+    table = BernoulliTable([(1, 1), (-1, 2), (1, 6), (0, 1)])
+    assert table.values_minus == (F(1), F(-1, 2), F(1, 6), F(0))
+    assert table.values_plus == (F(1), F(1, 2), F(1, 6), F(0))
+    assert [type(b) for b in table.values_minus + table.values_plus] == [Fraction] * 8
+    assert table.values_minus is not table.values_minus  # none kept
