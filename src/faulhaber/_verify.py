@@ -1,31 +1,22 @@
-"""Cross-verification and the counted pass behind `verify` and `bench`.
+"""Cross-verification: what `verify` runs, and only `verify` loads.
 
-Only those two commands load this module.  It loads only the direct path,
-all that the counted pass of `bench` runs; `run_verification` loads the
-other two paths and `identities`, which owns the identity checks and their
-ranges and gives the tally the report prints.  Each path function is
-looked up on its defining module when it is called, never bound here at
-import, so whatever a tracer or a test puts in its place is what runs, and
-nothing of theirs stays behind once they put it back.
+At import it loads the direct path, whose counted pass builds and tallies
+the direct rows; `run_verification` loads the other two paths and
+`identities`, which owns the identity checks and their ranges and gives
+the tally the report prints.  Each path function is looked up on its
+defining module when it is called, never bound here at import, so whatever
+a tracer or a test puts in its place is what runs, and nothing of theirs
+stays behind once they put it back.
 """
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
 
 from . import direct
 from .rationals import CoefficientRow, FrozenRecord, Record
 
 # The paths in the order verify compares them; `cli.METHODS` keeps it.
 PATHS = ("direct", "lemma", "bernoulli")
-
-
-def predicted_additions(p: int) -> int:
-    return p * (p + 1) // 2 + p
-
-
-def predicted_multiplications(p: int) -> int:
-    return p * (p + 1) // 2
 
 
 class Mismatch(FrozenRecord):
@@ -114,31 +105,16 @@ def _first_difference(a: CoefficientRow, b: CoefficientRow) -> int | None:
     return None
 
 
-def counted_pass(
-    degrees: Iterable[int],
-) -> Iterator[tuple[int, CoefficientRow, int, int, bool]]:
-    """Direct rows for the ascending `degrees` on one running counter, each
-    continued from the row before: after each p, yield p, its row, the
-    additions and multiplications so far (those of building row p from
-    scratch) and whether they match the formulas."""
-    counter = direct.OpCounter()
-    row = None
-    for p in degrees:
-        row = direct.direct_coefficients(p, counter, row)
-        counts = counter.additions, counter.multiplications
-        yield p, row, *counts, counts == (predicted_additions(p), predicted_multiplications(p))
-
-
 def run_verification(p_max: int) -> VerifyReport:
     """Compare every path pair for p = 0..p_max, check op counts against the
     quadratic formulas, and run the identity checks over their default
     ranges.
 
-    One ascending pass over the degrees.  At each p the counted pass of
-    `bench` builds the direct row, the lemma row continues from the one
-    before, and the Bernoulli row reads one table built for p_max; the three
-    rows are then compared pairwise, and a pair of unequal rows is reported
-    with the first coefficient that differs.
+    One ascending pass over the degrees.  At each p `direct.counted_pass`
+    builds the direct row, the lemma row continues from the one before, and
+    the Bernoulli row reads one table built for p_max; the three rows are
+    then compared pairwise, and a pair of unequal rows is reported with the
+    first coefficient that differs.
     """
     if p_max < 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
@@ -148,7 +124,7 @@ def run_verification(p_max: int) -> VerifyReport:
     lemma = None
     op_count_ok = []
     mismatches = []
-    for p, row, *_, ok in counted_pass(range(p_max + 1)):
+    for p, row, *_, ok in direct.counted_pass(range(p_max + 1)):
         op_count_ok.append(ok)
         lemma = integration.integration_coefficients(p, lemma)
         rows = row, lemma, bernoulli.faulhaber_via_bernoulli(p, table)
@@ -163,14 +139,3 @@ def run_verification(p_max: int) -> VerifyReport:
         identity_tallies=identities.tallies(),
     )
 
-
-def bench_schedule(p_max: int) -> list[int]:
-    """0, then powers of two, then p_max itself."""
-    points = [0]
-    step = 1
-    while step < p_max:
-        points.append(step)
-        step *= 2
-    if p_max > 0:
-        points.append(p_max)
-    return points

@@ -45,7 +45,7 @@ __all__ = [
 
 def __getattr__(name: str) -> object:
     # The names of `__all__` not defined here are defined in `_verify`, which
-    # only `verify` and `bench` load.
+    # only `verify` loads.
     if name in __all__:
         from . import _verify
 
@@ -238,8 +238,20 @@ def _cmd_verify(args: Arguments) -> int:
     return 0 if report.passed else 1
 
 
+def bench_schedule(p_max: int) -> list[int]:
+    """0, then powers of two, then p_max itself."""
+    points = [0]
+    step = 1
+    while step < p_max:
+        points.append(step)
+        step *= 2
+    if p_max > 0:
+        points.append(p_max)
+    return points
+
+
 def _cmd_bench(args: Arguments) -> int:
-    from . import _verify
+    from . import direct
 
     _warn_if_huge("p", args.p_max, SOFT_DEGREE_LIMIT)
     header = (
@@ -251,13 +263,12 @@ def _cmd_bench(args: Arguments) -> int:
     # `seconds` is the time from the start of the pass to degree p, that is
     # of building row p from scratch.
     start = time.perf_counter()
-    for p, _, additions, multiplications, ok in _verify.counted_pass(
-            _verify.bench_schedule(args.p_max)):
+    for p, _, additions, multiplications, ok in direct.counted_pass(bench_schedule(args.p_max)):
         elapsed = time.perf_counter() - start
         all_match &= ok
         print(f"{p:>6} {additions:>12} {multiplications:>16} "
-              f"{_verify.predicted_additions(p):>14} "
-              f"{_verify.predicted_multiplications(p):>14} {elapsed:>10.6f}")
+              f"{direct.predicted_additions(p):>14} "
+              f"{direct.predicted_multiplications(p):>14} {elapsed:>10.6f}")
     if not all_match:
         _diagnose("error: measured operation counts deviate from the formulas")
         return 1

@@ -14,11 +14,12 @@ pays for each step once.
 
 The paper's cost model counts the rational operations of this recurrence:
 from [1] to degree p, p(p+1)/2 multiplications and p(p+1)/2 + p
-additions/subtractions.  `OpCounter` holds that tally; the benchmark and
-verification commands check it against the formulas.
+additions/subtractions.  `OpCounter` holds that tally, and `counted_pass`
+checks it against those formulas for `bench` and `verify`.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .rationals import CoefficientRow, Record, start_row
@@ -74,11 +75,36 @@ def direct_coefficients(
     start: from [1], exactly p(p+1)/2 + p additions/subtractions and
     p(p+1)/2 multiplications.
     """
-    start = start_row(p, start)
-    row = list(start.coefficients)
-    for i in range(start.degree + 1, p + 1):
+    # The seed is the int 1, which the first step multiplies as it would
+    # the Fraction 1: a pass from [1] builds no Fraction to start.
+    row = [1] if start is None else list(start.coefficients)
+    for i in range(start_row(p, start).degree + 1, p + 1):
         _advance(row, i, counter)
     # The constructor puts the row over its common denominator once, and
     # the row keeps these Fractions: a caller continuing from it, as
     # `verify` and `bench` do, rebuilds none from the pair.
     return CoefficientRow(p, tuple(row))
+
+
+def predicted_additions(p: int) -> int:
+    return p * (p + 1) // 2 + p
+
+
+def predicted_multiplications(p: int) -> int:
+    return p * (p + 1) // 2
+
+
+def counted_pass(
+    degrees: Iterable[int],
+) -> Iterator[tuple[int, CoefficientRow, int, int, bool]]:
+    """Direct rows for the ascending `degrees` on one running counter, each
+    continued from the row before: after each p, yield p, its row, the
+    additions and multiplications so far (those of building row p from
+    scratch) and whether they match the formulas.  The row function and the
+    formulas are module globals, read at each call for a tracer or a test."""
+    counter = OpCounter()
+    row = None
+    for p in degrees:
+        row = direct_coefficients(p, counter, row)
+        counts = counter.additions, counter.multiplications
+        yield p, row, *counts, counts == (predicted_additions(p), predicted_multiplications(p))

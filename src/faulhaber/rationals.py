@@ -117,8 +117,8 @@ class CoefficientRow(FrozenRecord):
     with `from_scaled`; the public constructor stores a tuple of the
     entries, keeps each `Fraction` it is given, converts each int and
     rejects any entry of another type (a float, a `Decimal`, a numpy
-    integer).  A row built from its pair builds its tuple of reduced
-    `Fraction`s the first time `coefficients` is read.
+    integer).  A row built from its pair keeps no `Fraction`: `coefficients`
+    builds them all at each read, and `coefficient` the one it returns.
 
     Rows produced by any of the computation paths satisfy: the entries sum
     to 1, the top entry is 1/(p+1), the entry of n^p is 1/2 for p >= 1, and
@@ -165,14 +165,13 @@ class CoefficientRow(FrozenRecord):
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         """The entries, ascending by power: the Fractions the constructor was
-        given, or reduced Fractions built from the pair when first read."""
-        if self._coefficients is None:
-            from fractions import Fraction
+        given, or reduced Fractions built from the pair at each read."""
+        if self._coefficients is not None:
+            return self._coefficients
+        from fractions import Fraction
 
-            d = self.denominator
-            object.__setattr__(
-                self, "_coefficients", tuple(Fraction(c, d) for c in self.numerators))
-        return self._coefficients
+        d = self.denominator
+        return tuple([Fraction(c, d) for c in self.numerators])
 
     def _fields(self) -> tuple:
         # Equality and hashing read the canonical pair, never the Fractions.
@@ -191,7 +190,9 @@ class CoefficientRow(FrozenRecord):
             raise IndexError(
                 f"power {power} outside 1..{self.degree + 1} for degree {self.degree}"
             )
-        return self.coefficients[power - 1]
+        from fractions import Fraction
+
+        return Fraction(self.numerators[power - 1], self.denominator)
 
 
 def start_row(p: int, start: CoefficientRow | None) -> CoefficientRow:
@@ -200,11 +201,7 @@ def start_row(p: int, start: CoefficientRow | None) -> CoefficientRow:
     if p < 0:
         raise ValueError(f"exponent must be >= 0, got {p}")
     if start is None:
-        # Its one entry is the int 1, which the direct step multiplies as
-        # it would the Fraction 1: starting from [1] loads no `fractions`,
-        # and the direct path builds no Fraction from this pair.
-        start = object.__new__(CoefficientRow)
-        FrozenRecord.__init__(start, 0, (1,), 1, (1,))
+        start = CoefficientRow.from_scaled((1,), 1)
     if start.degree > p:
         raise ValueError(f"cannot continue to degree {p} from degree {start.degree}")
     return start

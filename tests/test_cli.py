@@ -333,12 +333,12 @@ def test_verify_locates_injected_fault(capsys, monkeypatch):
 
 
 def test_verify_locates_wrong_operation_count(capsys, monkeypatch):
-    genuine = _verify.predicted_multiplications
+    genuine = faulhaber.direct.predicted_multiplications
 
     def off_by_one_at_five(p):
         return genuine(p) + (p == 5)
 
-    monkeypatch.setattr(_verify, "predicted_multiplications", off_by_one_at_five)
+    monkeypatch.setattr(faulhaber.direct, "predicted_multiplications", off_by_one_at_five)
     code, out, _ = run_cli(capsys, "verify", "8")
     assert code == 1
     assert "  op counts:    FAIL at p = 5\n" in out
@@ -544,7 +544,7 @@ def test_closed_stderr_drops_diagnostics_and_keeps_the_result(capsys, monkeypatc
     monkeypatch.setattr(sys, "stderr", stderr)
     code, out, _ = run_cli(capsys, "eval", "1", "2000000", "--check")
     assert (code, out) == (0, "2000001000000\n")
-    monkeypatch.setattr(_verify, "predicted_multiplications", lambda p: -1)
+    monkeypatch.setattr(faulhaber.direct, "predicted_multiplications", lambda p: -1)
     code, out, _ = run_cli(capsys, "bench", "1")
     assert code == 1 and out.startswith("     p ")
 
@@ -646,9 +646,9 @@ def test_bench_counts_match_predictions(capsys):
 
 
 def test_bench_reports_wrong_operation_count(capsys, monkeypatch):
-    genuine = _verify.predicted_multiplications
+    genuine = faulhaber.direct.predicted_multiplications
     monkeypatch.setattr(
-        _verify, "predicted_multiplications", lambda p: genuine(p) + (p == 4))
+        faulhaber.direct, "predicted_multiplications", lambda p: genuine(p) + (p == 4))
     code, out, err = run_cli(capsys, "bench", "8")
     assert code == 1
     assert err == "error: measured operation counts deviate from the formulas\n"

@@ -1,8 +1,8 @@
 """The import graph keeps the paths independent: the three computation paths
 and the oracle share only the plumbing of `rationals`, and no path loads
-another path's arithmetic.  Only `_verify`, the machinery of `verify` and
-`bench`, and `cli`, which imports each module where a command runs it, load
-several paths."""
+another path's arithmetic.  Only `_verify`, the machinery of `verify`, and
+`cli`, which imports each module where a command runs it, load several
+paths."""
 import ast
 from pathlib import Path
 

@@ -9,8 +9,15 @@ from fractions import Fraction
 
 import pytest
 
-from faulhaber import BernoulliTable, CoefficientRow, OpCounter, direct_coefficients
+from faulhaber import (
+    BernoulliTable,
+    CoefficientRow,
+    OpCounter,
+    direct_coefficients,
+    integration_coefficients,
+)
 from faulhaber.cli import Mismatch, VerifyReport, format_plain
+from faulhaber.rationals import start_row
 
 F = Fraction
 
@@ -169,6 +176,17 @@ def test_a_row_keeps_no_reference_to_the_callers_list():
     assert type(row.coefficients) is tuple
     assert format_plain(row) == "a_1=1/2 a_2=1/2"
     assert direct_coefficients(2, start=row) == direct_coefficients(2)
+
+
+def test_the_seed_is_the_pair_row_of_one():
+    assert start_row(3, None) == CoefficientRow.from_scaled((1,), 1) == CoefficientRow(0, (1,))
+
+
+def test_a_pair_row_builds_its_fractions_at_each_read():
+    row = integration_coefficients(5)
+    first, second = row.coefficients, row.coefficients
+    assert first == second == direct_coefficients(5).coefficients and first is not second
+    assert row.coefficient(4) == F(5, 12) and row._coefficients is None
 
 
 @pytest.mark.parametrize("values", [[(1, 1), (-1, 2), (1, 6)], [(1, 1)]])

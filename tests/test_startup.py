@@ -10,7 +10,8 @@ even for a usage error or `--help`.  Only the commands that do `Fraction`
 arithmetic load `fractions`, with its `decimal` and `numbers`: `coeffs`
 on the direct path, whose steps the operation counts are defined on,
 `eval`, whose value is a `Fraction`, `verify` and `bench`; `bench` runs
-only the counted direct pass and loads no other path.  Every row
+only the direct path's counted pass, and loads neither another path nor
+`verify`'s `_verify`.  Every row
 format and the `bernoulli` table print from integer pairs, and no module of
 the paths, nor the oracle or `identities`, builds a `Fraction` when it is
 imported.  Each program
@@ -116,8 +117,7 @@ def test_no_path_module_builds_a_rational_at_import():
     (("bernoulli", "4"), BERNOULLI),
     (("bernoulli", "4", "--convention", "minus"), BERNOULLI),
     (("verify", "2"), EVERYTHING),
-    (("bench", "2"), {"faulhaber.cli", "faulhaber._verify", "faulhaber.rationals",
-                      "faulhaber.direct", *FRACTIONS}),
+    (("bench", "2"), {"faulhaber.cli", "faulhaber.rationals", "faulhaber.direct", *FRACTIONS}),
 ], ids=["import", "usage-error", "help", "program-help", "coeffs-lemma", "coeffs-lemma-json",
         "coeffs-lemma-latex", "coeffs-direct", "coeffs-bernoulli", "coeffs-bernoulli-json",
         "coeffs-bernoulli-latex", "eval", "bernoulli", "bernoulli-minus", "verify", "bench"])
