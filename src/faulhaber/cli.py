@@ -10,7 +10,11 @@ Subcommands:
 
 Results go to stdout, diagnostics to stderr.  Exit statuses are a stable
 scripting contract: 0 success, 1 verification failure, 2 usage error,
-74 output not written (EX_IOERR: `> /dev/full`), 130 interrupted.
+71 the machine cannot hold the work (EX_OSERR: `bernoulli 10**20`, whose
+table cannot be indexed), 74 output not written (EX_IOERR: `> /dev/full`),
+130 interrupted.  `coeffs 10**20` on the direct or lemma path, and `bench`
+and `eval` with such a p, work up one degree at a time until interrupted
+or out of memory.
 
 The command line is read from one table, as argparse read it; the usage and
 help texts are fixed, so neither the terminal nor the interpreter changes
@@ -570,6 +574,12 @@ def main(argv: list[str] | None = None) -> int:
         _diagnose(f"error: cannot write output: {error.strerror}")
         _silence_stdout()
         return 74
+    except (MemoryError, OverflowError) as error:
+        # The argument is well formed, but its work does not fit this
+        # machine (`bernoulli 10**20` cannot index its table): neither a
+        # verification failure nor a usage error.
+        _diagnose(f"error: too large for this machine: {str(error) or 'out of memory'}")
+        return 71
     except KeyboardInterrupt:
         # Ctrl-C: a short diagnostic and the shell's 128 + SIGINT status
         # instead of a traceback.

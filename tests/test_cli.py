@@ -4,6 +4,7 @@ import errno
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -690,3 +691,79 @@ def test_warning_echoes_a_huge_value_in_short(capsys):
     cli._warn_if_huge("n", 10**100, 10)
     assert capsys.readouterr() == (
         "", "warning: n = 1" + "0" * 39 + "... is above 10; this may take a very long time\n")
+
+
+def raising(error):
+    """A path that fails at its first call, as one past the machine's reach
+    would, without running it."""
+    def path(*args):
+        raise error
+    return path
+
+
+HUGE = str(10**20)  # 21 digits: no list of that many entries can be indexed
+WARNING = r"warning: \w+ = 100000000000000000000 is above 10000; this may take a very long time\n"
+TOO_LARGE = r"error: too large for this machine: .+\n"
+
+# Each edge input: its command line, the path replaced for it (module,
+# name, replacement) or None, what stdout is (None: a stream of its own),
+# whether stdout stays empty, the pattern of the whole of stderr, and the
+# status.  The huge `bernoulli`, `verify` and `coeffs --method bernoulli`
+# fail for real, before any allocation; the other huge commands would run
+# until interrupted, so their path raises at its first call instead.
+EDGES = {
+    "coeffs p=0": (("coeffs", "0"), None, None, False, "", 0),
+    "eval p=0": (("eval", "0", "3"), None, None, False, "", 0),
+    "verify p=0": (("verify", "0"), None, None, False, "", 0),
+    "bench p=0": (("bench", "0"), None, None, False, "", 0),
+    "bernoulli m=0": (("bernoulli", "0"), None, None, False, "", 0),
+    "bernoulli huge": (("bernoulli", HUGE), None, None, True, WARNING + TOO_LARGE, 71),
+    "verify huge": (("verify", HUGE), None, None, True, WARNING + TOO_LARGE, 71),
+    "coeffs huge bernoulli": (("coeffs", HUGE, "--method", "bernoulli"), None, None, True,
+                              WARNING + TOO_LARGE, 71),
+    "coeffs huge direct": (("coeffs", HUGE), (faulhaber.direct, "direct_coefficients",
+                           raising(MemoryError)), None, True, WARNING + TOO_LARGE, 71),
+    "coeffs huge lemma": (("coeffs", HUGE, "--method", "lemma"),
+                          (faulhaber.integration, "integration_coefficients",
+                           raising(MemoryError)), None, True, WARNING + TOO_LARGE, 71),
+    # The header is written before the first row is built.
+    "bench huge": (("bench", HUGE), (faulhaber.direct, "direct_coefficients",
+                   raising(MemoryError)), None, False, WARNING + TOO_LARGE, 71),
+    "eval huge p": (("eval", HUGE, "5"), (faulhaber.integration, "integration_coefficients",
+                    raising(MemoryError)), None, True, WARNING + TOO_LARGE, 71),
+    "eval huge n": (("eval", "5", HUGE), None, None, False, "", 0),
+    "eval 5000-digit n": (("eval", "1", "1" + "0" * 5000), None, None, False, "", 0),
+    "usage error": (("coeffs", "x"), None, None, True,
+                    r"usage: faulhaber coeffs .*\nfaulhaber coeffs: error: argument p: "
+                    r"expected an integer, got 'x'\n", 2),
+    "verification failure": (("verify", "5"), (faulhaber.direct, "predicted_multiplications",
+                             lambda p: -1), None, False, "", 1),
+    "closed pipe": (("bernoulli", "30"), None, PipeWithoutReader, True, "", 0),
+    "dev full": (("bernoulli", "30"), None, FullStream, True, NO_SPACE, 74),
+    "interrupt": (("coeffs", HUGE), (faulhaber.direct, "direct_coefficients",
+                  raising(KeyboardInterrupt)), None, True, WARNING + "interrupted\n", 130),
+}
+
+
+@pytest.mark.parametrize("argv, patch, stream, quiet, stderr, status",
+                         EDGES.values(), ids=EDGES)
+def test_edge_inputs_exit_with_their_status_and_no_traceback(
+        capsys, monkeypatch, tmp_path, default_digit_limit,
+        argv, patch, stream, quiet, stderr, status):
+    if patch:
+        monkeypatch.setattr(*patch)
+    if stream:
+        stdout = stream(tmp_path / "out")
+        monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as usage_error:  # it leaves `main` so
+        code = usage_error.code
+    finally:
+        if stream:
+            os.close(stdout.fd)
+    out, err = capsys.readouterr()
+    assert code == status
+    assert (out == "") == quiet
+    assert "Traceback" not in err
+    assert re.fullmatch(stderr, err, re.DOTALL), err
