@@ -34,23 +34,24 @@ class Mismatch(FrozenRecord):
 
 
 class VerifyReport(Record):
-    __slots__ = ("p_max", "mismatches", "op_count_ok", "identity_tallies")
-    p_max: int
+    __slots__ = ("mismatches", "op_count_ok", "identity_tallies")
     mismatches: tuple[Mismatch, ...]
     op_count_ok: tuple[bool, ...]  # indexed by p = 0..p_max
     identity_tallies: dict[str, tuple[int, int]]  # label -> (checked, failed)
 
     def __init__(
         self,
-        p_max: int,
         mismatches: tuple[Mismatch, ...],
         op_count_ok: tuple[bool, ...],
         identity_tallies: dict[str, tuple[int, int]],
     ) -> None:
-        self.p_max = p_max
         self.mismatches = mismatches
         self.op_count_ok = op_count_ok
         self.identity_tallies = identity_tallies
+
+    @property
+    def p_max(self) -> int:
+        return len(self.op_count_ok) - 1
 
     @property
     def passed(self) -> bool:
@@ -133,7 +134,6 @@ def run_verification(p_max: int) -> VerifyReport:
                 mismatches.append(Mismatch(p, f"{name_a} vs {name_b}", _first_difference(a, b)))
 
     return VerifyReport(
-        p_max=p_max,
         mismatches=tuple(mismatches),
         op_count_ok=tuple(op_count_ok),
         identity_tallies=identities.tallies(),

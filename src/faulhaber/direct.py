@@ -44,7 +44,7 @@ class OpCounter(Record):
         self.multiplications = multiplications
 
 
-def _advance(row: list[Fraction], i: int, counter: OpCounter | None) -> None:
+def _advance(row: list[Fraction], counter: OpCounter | None) -> None:
     """Turn the length-i row for degree i-1 into the row for degree i, in place.
 
     j runs downward so row[j - 2] is still the previous row's entry when
@@ -53,6 +53,7 @@ def _advance(row: list[Fraction], i: int, counter: OpCounter | None) -> None:
     counter gains both once per step.  The appended 0 is overwritten and the
     sum turns Fraction at its first term, so the row stays all Fractions.
     """
+    i = len(row)
     row.append(0)
     s = 0
     for j in range(i + 1, 1, -1):
@@ -78,12 +79,12 @@ def direct_coefficients(
     # The seed is the int 1, which the first step multiplies as it would
     # the Fraction 1: a pass from [1] builds no Fraction to start.
     row = [1] if start is None else list(start.coefficients)
-    for i in range(start_row(p, start).degree + 1, p + 1):
-        _advance(row, i, counter)
+    for _ in range(p - start_row(p, start).degree):
+        _advance(row, counter)
     # The constructor puts the row over its common denominator once, and
     # the row keeps these Fractions: a caller continuing from it, as
     # `verify` and `bench` do, rebuilds none from the pair.
-    return CoefficientRow(p, tuple(row))
+    return CoefficientRow(tuple(row))
 
 
 def predicted_additions(p: int) -> int:

@@ -112,13 +112,13 @@ class CoefficientRow(FrozenRecord):
     `denominator * a_j`, with `denominator` the least common multiple of the
     entries' denominators, so `denominator > 0` and
     `gcd(denominator, *numerators) == 1`.  That form is canonical: two rows
-    are equal, and hash alike, exactly when their degrees and pairs are,
-    and comparing them compares ints.  The paths build rows from their pair
-    with `from_scaled`; the public constructor stores a tuple of the
-    entries, keeps each `Fraction` it is given, converts each int and
-    rejects any entry of another type (a float, a `Decimal`, a numpy
-    integer).  A row built from its pair keeps no `Fraction`: `coefficients`
-    builds them all at each read, and `coefficient` the one it returns.
+    are equal, and hash alike, exactly when their pairs are, and comparing
+    them compares ints.  The paths build rows from their pair with
+    `from_scaled`; the public constructor stores a tuple of the entries,
+    keeps each `Fraction` it is given, converts each int and rejects an
+    empty tuple or any entry of another type (a float, a `Decimal`, a
+    numpy integer).  A row built from its pair keeps no `Fraction`: its
+    `coefficients` and `coefficient` build them at each read.
 
     Rows produced by any of the computation paths satisfy: the entries sum
     to 1, the top entry is 1/(p+1), the entry of n^p is 1/2 for p >= 1, and
@@ -128,23 +128,17 @@ class CoefficientRow(FrozenRecord):
     corrupted rows can be built when exercising mismatch detection.
     """
 
-    __slots__ = ("degree", "numerators", "denominator", "_coefficients")
-    degree: int
+    __slots__ = ("numerators", "denominator", "_coefficients")
     numerators: tuple[int, ...]
     denominator: int
 
-    def __init__(self, degree: int, coefficients: tuple[Fraction, ...]) -> None:
-        if degree < 0:
-            raise ValueError(f"degree must be >= 0, got {degree}")
-        if len(coefficients) != degree + 1:
-            raise ValueError(
-                f"a row of degree {degree} holds {degree + 1} "
-                f"coefficients, got {len(coefficients)}"
-            )
-        from fractions import Fraction
-
+    def __init__(self, coefficients: tuple[Fraction, ...]) -> None:
         # A tuple: the caller's list stays the caller's.
         coefficients = tuple(coefficients)
+        if not coefficients:
+            raise ValueError("a row holds a_1 at least, got no coefficients")
+        from fractions import Fraction
+
         if set(map(type, coefficients)) - {Fraction}:  # all Fractions skip the checks
             for k, c in enumerate(coefficients, 1):
                 if not isinstance(c, (Fraction, int)):
@@ -152,15 +146,19 @@ class CoefficientRow(FrozenRecord):
             coefficients = tuple([Fraction(c) if isinstance(c, int) else c
                                   for c in coefficients])
         numerators, d = scaled([c.as_integer_ratio() for c in coefficients])
-        super().__init__(degree, numerators, d, coefficients)
+        super().__init__(numerators, d, coefficients)
 
     @classmethod
     def from_scaled(cls, numerators: tuple[int, ...], denominator: int) -> CoefficientRow:
-        """The row a_j = numerators[j - 1] / denominator, of degree
-        len(numerators) - 1, from a pair already in the canonical form."""
+        """The row a_j = numerators[j - 1] / denominator, from a pair already
+        in the canonical form."""
         row = object.__new__(cls)
-        FrozenRecord.__init__(row, len(numerators) - 1, numerators, denominator, None)
+        FrozenRecord.__init__(row, numerators, denominator, None)
         return row
+
+    @property
+    def degree(self) -> int:
+        return len(self.numerators) - 1
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -175,14 +173,13 @@ class CoefficientRow(FrozenRecord):
 
     def _fields(self) -> tuple:
         # Equality and hashing read the canonical pair, never the Fractions.
-        return self.degree, self.numerators, self.denominator
+        return self.numerators, self.denominator
 
     def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(degree={self.degree!r}, "
-                f"coefficients={self.coefficients!r})")
+        return f"{type(self).__qualname__}(coefficients={self.coefficients!r})"
 
     def __reduce__(self) -> tuple:
-        return type(self), (self.degree, self.coefficients)
+        return type(self), (self.coefficients,)
 
     def coefficient(self, power: int) -> Fraction:
         """The coefficient of n**power, for 1 <= power <= degree + 1."""

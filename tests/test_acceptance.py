@@ -177,7 +177,7 @@ def test_c9_cli_contract(capsys, monkeypatch):
             return row
         coeffs = list(row.coefficients)
         coeffs[4] += F(1, 3)
-        return CoefficientRow(row.degree, tuple(coeffs))
+        return CoefficientRow(tuple(coeffs))
 
     monkeypatch.setattr(faulhaber.bernoulli, "faulhaber_via_bernoulli", flip_one_coefficient)
     assert cli.main(["verify", "12"]) == 1

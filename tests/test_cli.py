@@ -127,7 +127,7 @@ def lemma_row_off_by(delta):
 
     def wrong(p, start=None):
         row = genuine(p, start)
-        return CoefficientRow(p, (row.coefficient(1) + delta, *row.coefficients[1:]))
+        return CoefficientRow((row.coefficient(1) + delta, *row.coefficients[1:]))
     return wrong
 
 
@@ -268,14 +268,13 @@ def test_bernoulli_default_reaches_minus_one_thirtieth(capsys):
 ])
 def test_first_difference(a, b, power):
     rows = [c if isinstance(c, CoefficientRow) else
-            CoefficientRow(len(c) - 1, tuple(map(Fraction, c))) for c in (a, b)]
+            CoefficientRow(tuple(map(Fraction, c))) for c in (a, b)]
     assert _verify._first_difference(*rows) == power
     assert _verify._first_difference(*reversed(rows)) == power
 
 
 def test_report_renders_each_kind_of_mismatch():
     report = _verify.VerifyReport(
-        p_max=3,
         mismatches=(_verify.Mismatch(1, "direct vs lemma", None),
                     _verify.Mismatch(3, "lemma vs bernoulli", 2)),
         op_count_ok=(True,) * 4,
@@ -322,7 +321,7 @@ def test_verify_locates_injected_fault(capsys, monkeypatch):
             return row
         coeffs = list(row.coefficients)
         coeffs[2] += Fraction(1, 2)
-        return CoefficientRow(row.degree, tuple(coeffs))
+        return CoefficientRow(tuple(coeffs))
 
     monkeypatch.setattr(faulhaber.integration, "integration_coefficients", flip_one_coefficient)
     code, out, _ = run_cli(capsys, "verify", "10")
@@ -701,69 +700,86 @@ def raising(error):
     return path
 
 
+def skipping_step(i):
+    """The direct recurrence with the step from a row of length i left out:
+    no direct row reaches degree i."""
+    genuine = faulhaber.direct._advance
+
+    def advance(row, counter):
+        if len(row) != i:
+            genuine(row, counter)
+    return advance
+
+
 HUGE = str(10**20)  # 21 digits: no list of that many entries can be indexed
 WARNING = r"warning: \w+ = 100000000000000000000 is above 10000; this may take a very long time\n"
 TOO_LARGE = r"error: too large for this machine: .+\n"
 
 # Each edge input: its command line, the path replaced for it (module,
 # name, replacement) or None, what stdout is (None: a stream of its own),
-# whether stdout stays empty, the pattern of the whole of stderr, and the
+# the patterns of the whole of what stdout and stderr receive, and the
 # status.  The huge `bernoulli`, `verify` and `coeffs --method bernoulli`
 # fail for real, before any allocation; the other huge commands would run
 # until interrupted, so their path raises at its first call instead.
 EDGES = {
-    "coeffs p=0": (("coeffs", "0"), None, None, False, "", 0),
-    "eval p=0": (("eval", "0", "3"), None, None, False, "", 0),
-    "verify p=0": (("verify", "0"), None, None, False, "", 0),
-    "bench p=0": (("bench", "0"), None, None, False, "", 0),
-    "bernoulli m=0": (("bernoulli", "0"), None, None, False, "", 0),
-    "bernoulli huge": (("bernoulli", HUGE), None, None, True, WARNING + TOO_LARGE, 71),
-    "verify huge": (("verify", HUGE), None, None, True, WARNING + TOO_LARGE, 71),
-    "coeffs huge bernoulli": (("coeffs", HUGE, "--method", "bernoulli"), None, None, True,
+    "coeffs p=0": (("coeffs", "0"), None, None, ".+", "", 0),
+    "eval p=0": (("eval", "0", "3"), None, None, ".+", "", 0),
+    "verify p=0": (("verify", "0"), None, None, ".+", "", 0),
+    "bench p=0": (("bench", "0"), None, None, ".+", "", 0),
+    "bernoulli m=0": (("bernoulli", "0"), None, None, ".+", "", 0),
+    "bernoulli huge": (("bernoulli", HUGE), None, None, "", WARNING + TOO_LARGE, 71),
+    "verify huge": (("verify", HUGE), None, None, "", WARNING + TOO_LARGE, 71),
+    "coeffs huge bernoulli": (("coeffs", HUGE, "--method", "bernoulli"), None, None, "",
                               WARNING + TOO_LARGE, 71),
     "coeffs huge direct": (("coeffs", HUGE), (faulhaber.direct, "direct_coefficients",
-                           raising(MemoryError)), None, True, WARNING + TOO_LARGE, 71),
+                           raising(MemoryError)), None, "", WARNING + TOO_LARGE, 71),
     "coeffs huge lemma": (("coeffs", HUGE, "--method", "lemma"),
                           (faulhaber.integration, "integration_coefficients",
-                           raising(MemoryError)), None, True, WARNING + TOO_LARGE, 71),
+                           raising(MemoryError)), None, "", WARNING + TOO_LARGE, 71),
     # The header is written before the first row is built.
     "bench huge": (("bench", HUGE), (faulhaber.direct, "direct_coefficients",
-                   raising(MemoryError)), None, False, WARNING + TOO_LARGE, 71),
+                   raising(MemoryError)), None, ".+", WARNING + TOO_LARGE, 71),
     "eval huge p": (("eval", HUGE, "5"), (faulhaber.integration, "integration_coefficients",
-                    raising(MemoryError)), None, True, WARNING + TOO_LARGE, 71),
-    "eval huge n": (("eval", "5", HUGE), None, None, False, "", 0),
-    "eval 5000-digit n": (("eval", "1", "1" + "0" * 5000), None, None, False, "", 0),
-    "usage error": (("coeffs", "x"), None, None, True,
+                    raising(MemoryError)), None, "", WARNING + TOO_LARGE, 71),
+    "eval huge n": (("eval", "5", HUGE), None, None, ".+", "", 0),
+    "eval 5000-digit n": (("eval", "1", "1" + "0" * 5000), None, None, ".+", "", 0),
+    "usage error": (("coeffs", "x"), None, None, "",
                     r"usage: faulhaber coeffs .*\nfaulhaber coeffs: error: argument p: "
                     r"expected an integer, got 'x'\n", 2),
     "verification failure": (("verify", "5"), (faulhaber.direct, "predicted_multiplications",
-                             lambda p: -1), None, False, "", 1),
-    "closed pipe": (("bernoulli", "30"), None, PipeWithoutReader, True, "", 0),
-    "dev full": (("bernoulli", "30"), None, FullStream, True, NO_SPACE, 74),
+                             lambda p: -1), None, ".+", "", 1),
+    "closed pipe": (("bernoulli", "30"), None, PipeWithoutReader, "", "", 0),
+    "dev full": (("bernoulli", "30"), None, FullStream, "", NO_SPACE, 74),
     "interrupt": (("coeffs", HUGE), (faulhaber.direct, "direct_coefficients",
-                  raising(KeyboardInterrupt)), None, True, WARNING + "interrupted\n", 130),
+                  raising(KeyboardInterrupt)), None, "", WARNING + "interrupted\n", 130),
+    # The direct rows stop short of degree 5: a report, not a traceback.
+    "verify mis-stepped": (("verify", "10"), (faulhaber.direct, "_advance", skipping_step(5)),
+                           None, r".*\nresult: FAIL\n", "", 1),
+    "bench mis-stepped": (("bench", "10"), (faulhaber.direct, "_advance", skipping_step(5)),
+                          None, ".+", "error: measured operation counts deviate from the "
+                          "formulas\n", 1),
 }
 
 
-@pytest.mark.parametrize("argv, patch, stream, quiet, stderr, status",
+@pytest.mark.parametrize("argv, patch, stream, stdout, stderr, status",
                          EDGES.values(), ids=EDGES)
 def test_edge_inputs_exit_with_their_status_and_no_traceback(
         capsys, monkeypatch, tmp_path, default_digit_limit,
-        argv, patch, stream, quiet, stderr, status):
+        argv, patch, stream, stdout, stderr, status):
     if patch:
         monkeypatch.setattr(*patch)
     if stream:
-        stdout = stream(tmp_path / "out")
-        monkeypatch.setattr(sys, "stdout", stdout)
+        sink = stream(tmp_path / "out")
+        monkeypatch.setattr(sys, "stdout", sink)
     try:
         code = cli.main(list(argv))
     except SystemExit as usage_error:  # it leaves `main` so
         code = usage_error.code
     finally:
         if stream:
-            os.close(stdout.fd)
+            os.close(sink.fd)
     out, err = capsys.readouterr()
     assert code == status
-    assert (out == "") == quiet
+    assert re.fullmatch(stdout, out, re.DOTALL), out
     assert "Traceback" not in err
     assert re.fullmatch(stderr, err, re.DOTALL), err

@@ -77,20 +77,20 @@ def test_continues_exactly_from_an_int_built_row():
     # The constructor turns int entries into Fractions, so the rolling row
     # stays exact; from this corrupted row (a_1 = 0, a_2 = 1) the direct
     # recurrence still agrees with the lemma, which continues on integers.
-    start = CoefficientRow(1, (0, 1))
+    start = CoefficientRow((0, 1))
     assert start.coefficients == (F(0), F(1))
     assert {type(c) for c in start.coefficients} == {F}
     row = direct_coefficients(6, start=start)
     assert {type(c) for c in row.coefficients} == {F}
     assert row == integration_coefficients(6, start=start)
-    assert direct_coefficients(6, start=CoefficientRow(0, (1,))) == direct_coefficients(6)
+    assert direct_coefficients(6, start=CoefficientRow((1,))) == direct_coefficients(6)
 
 
 def test_row_validation():
     with pytest.raises(ValueError):
-        CoefficientRow(2, (F(1),))
+        CoefficientRow(())
     with pytest.raises(ValueError):
-        CoefficientRow(-1, ())
+        CoefficientRow((F(1), 0.5))
     row = direct_coefficients(3)
     with pytest.raises(IndexError):
         row.coefficient(0)

@@ -23,12 +23,11 @@ F = Fraction
 
 # class -> the constructor's keyword arguments, in positional order
 FIELDS = {
-    CoefficientRow: {"degree": 2, "coefficients": (F(1, 6), F(1, 2), F(1, 3))},
+    CoefficientRow: {"coefficients": (F(1, 6), F(1, 2), F(1, 3))},
     BernoulliTable: {"ratios_minus": ((1, 1), (-1, 2))},
     Mismatch: {"p": 7, "pair": "direct vs lemma", "power": 3},
     OpCounter: {"additions": 54, "multiplications": 45},
     VerifyReport: {
-        "p_max": 0,
         "mismatches": (),
         "op_count_ok": (True,),
         "identity_tallies": {"power-sum identity": (600, 0)},
@@ -111,7 +110,7 @@ def test_mutable_records_take_assignment_and_are_unhashable(cls):
     with pytest.raises(TypeError):
         hash(record)
     name = next(iter(FIELDS[cls]))
-    setattr(record, name, getattr(record, name) + 1)
+    setattr(record, name, None)
     assert record != build(cls)
 
 
@@ -135,13 +134,12 @@ NOT_A_PAIR = "is not a reduced pair of ints with a positive denominator"
 @pytest.mark.parametrize(
     "cls, fields, message",
     [
-        (CoefficientRow, (-1, ()), "degree must be >= 0, got -1"),
-        (CoefficientRow, (2, (F(1),)), "a row of degree 2 holds 3 coefficients, got 1"),
-        (CoefficientRow, (1, (0.5, 0.5)),
+        (CoefficientRow, ((),), "a row holds a_1 at least, got no coefficients"),
+        (CoefficientRow, ((0.5, 0.5),),
          "coefficient of n^1 is not a Fraction or int: 0.5"),
-        (CoefficientRow, (1, (F(1, 2), Decimal("0.5"))),
+        (CoefficientRow, ((F(1, 2), Decimal("0.5")),),
          "coefficient of n^2 is not a Fraction or int: Decimal('0.5')"),
-        (CoefficientRow, (0, (Ratio(),)), "coefficient of n^1 is not a Fraction or int: Ratio(1)"),
+        (CoefficientRow, ((Ratio(),),), "coefficient of n^1 is not a Fraction or int: Ratio(1)"),
         (BernoulliTable, ((),), "a table holds b_0 at least, got no numbers"),
         (BernoulliTable, (((1, 1), (1, 2), (1, 6)),),
          "a table stores b_1 = (-1, 2), got b_1 = (1, 2)"),
@@ -157,7 +155,7 @@ NOT_A_PAIR = "is not a reduced pair of ints with a positive denominator"
         (BernoulliTable, ((1, (-1, 2)),), f"b_0 {NOT_A_PAIR}: 1"),
         (BernoulliTable, (((1, 1), (-1, 2, 1)),), f"b_1 {NOT_A_PAIR}: (-1, 2, 1)"),
     ],
-    ids=["row-negative-degree", "row-too-short", "row-float-entry", "row-decimal-entry",
+    ids=["row-empty", "row-float-entry", "row-decimal-entry",
          "row-registered-rational", "table-too-short", "table-b1-conflated",
          "table-float-entry", "table-decimal-entry", "table-unreduced-entry",
          "table-unreduced-zero", "table-zero-denominator", "table-negative-denominator",
@@ -169,9 +167,19 @@ def test_records_reject_malformed_fields(cls, fields, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("length", [1, 2, 7])
+def test_counts_are_read_from_the_sequences_they_count(length):
+    built = CoefficientRow(tuple(F(k, length) for k in range(length)))
+    for row in built, CoefficientRow.from_scaled(built.numerators, built.denominator):
+        assert row.degree == len(row.coefficients) - 1 == length - 1
+    report = VerifyReport((), (True,) * length, {})
+    assert report.p_max == length - 1
+    assert report.render().splitlines()[1] == f"  degrees:      p = 0..{length - 1}"
+
+
 def test_a_row_keeps_no_reference_to_the_callers_list():
     entries = [F(1, 2), F(1, 2)]
-    row = CoefficientRow(1, entries)
+    row = CoefficientRow(entries)
     entries[0] = F(7)
     assert type(row.coefficients) is tuple
     assert format_plain(row) == "a_1=1/2 a_2=1/2"
@@ -179,7 +187,7 @@ def test_a_row_keeps_no_reference_to_the_callers_list():
 
 
 def test_the_seed_is_the_pair_row_of_one():
-    assert start_row(3, None) == CoefficientRow.from_scaled((1,), 1) == CoefficientRow(0, (1,))
+    assert start_row(3, None) == CoefficientRow.from_scaled((1,), 1) == CoefficientRow((1,))
 
 
 def test_a_pair_row_builds_its_fractions_at_each_read():

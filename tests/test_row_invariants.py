@@ -44,7 +44,7 @@ def test_rows_are_canonical_integer_pairs(method):
         assert type(d) is int and all(type(c) is int for c in numerators)
         assert len(numerators) == p + 1
         assert d > 0 and gcd(d, *numerators) == 1
-        rebuilt = CoefficientRow(p, row.coefficients)
+        rebuilt = CoefficientRow(row.coefficients)
         assert (rebuilt.numerators, rebuilt.denominator) == (numerators, d)
         assert row == rebuilt and hash(row) == hash(rebuilt)
         # The row sums to 1, its top entry is 1/(p+1) and a_p = 1/2.
