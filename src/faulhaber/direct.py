@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
-from .rationals import CoefficientRow, Record, start_row
+from .rationals import CoefficientRow, Record, scaled, start_row
 
 __all__ = ["OpCounter", "direct_coefficients"]
 
@@ -44,20 +44,22 @@ class OpCounter(Record):
         self.multiplications = multiplications
 
 
-def _advance(row: list[Fraction], counter: OpCounter | None) -> None:
+def _advance(row: list[Fraction | int], d: int, counter: OpCounter | None) -> None:
     """Turn the length-i row for degree i-1 into the row for degree i, in place.
 
-    j runs downward so row[j - 2] is still the previous row's entry when
-    read.  Step i costs i multiplications (one per slot j = i+1..2) and
-    i + 1 additions/subtractions (i into the running sum, then 1 - s); a
-    counter gains both once per step.  The appended 0 is overwritten and the
-    sum turns Fraction at its first term, so the row stays all Fractions.
+    The incoming entries are held multiplied by d, as a row's numerators
+    over its denominator are: slot j takes i/(j d) times the entry one power
+    lower, one rational multiplication either way.  The row leaves as
+    Fractions, so each later step passes d = 1.  j runs downward so
+    row[j - 2] is still the previous row's entry when read.  Step i costs i
+    multiplications (one per slot j = i+1..2) and i + 1 additions/subtractions
+    (i into the running sum, then 1 - s); a counter gains both once per step.
     """
     i = len(row)
     row.append(0)
     s = 0
     for j in range(i + 1, 1, -1):
-        row[j - 1] = term = Fraction(i, j) * row[j - 2]
+        row[j - 1] = term = Fraction(i, j * d) * row[j - 2]
         s += term
     row[0] = 1 - s
     if counter is not None:
@@ -72,19 +74,18 @@ def direct_coefficients(
 
     Starts from the single-entry row [1] (f_0(n) = n), or from `start`, a
     row of degree at most p, and advances one degree per step on a single
-    rolling list.  A counter gains the operations of the degrees after the
-    start: from [1], exactly p(p+1)/2 + p additions/subtractions and
-    p(p+1)/2 multiplications.
+    rolling list, seeded with the start's integer numerators.  A counter
+    gains the operations of the degrees after the start: from [1], exactly
+    p(p+1)/2 + p additions/subtractions and p(p+1)/2 multiplications.
     """
-    # The seed is the int 1, which the first step multiplies as it would
-    # the Fraction 1: a pass from [1] builds no Fraction to start.
-    row = [1] if start is None else list(start.coefficients)
-    for _ in range(p - start_row(p, start).degree):
-        _advance(row, counter)
-    # The constructor puts the row over its common denominator once, and
-    # the row keeps these Fractions: a caller continuing from it, as
-    # `verify` and `bench` do, rebuilds none from the pair.
-    return CoefficientRow(tuple(row))
+    start = start_row(p, start)
+    if start.degree == p:
+        return start
+    row, d = list(start.numerators), start.denominator
+    for _ in range(p - start.degree):
+        _advance(row, d, counter)
+        d = 1
+    return CoefficientRow.from_scaled(*scaled([c.as_integer_ratio() for c in row]))
 
 
 def predicted_additions(p: int) -> int:

@@ -108,17 +108,17 @@ class CoefficientRow(FrozenRecord):
     The constant term of a power-sum polynomial is always zero and is not
     stored; emitters that need it synthesize a literal zero.
 
-    A row is held as integers over one denominator: `numerators[j - 1]` is
-    `denominator * a_j`, with `denominator` the least common multiple of the
-    entries' denominators, so `denominator > 0` and
+    A row is held as integers over one denominator, and as nothing else:
+    `numerators[j - 1]` is `denominator * a_j`, with `denominator` the least
+    common multiple of the entries' denominators, so `denominator > 0` and
     `gcd(denominator, *numerators) == 1`.  That form is canonical: two rows
     are equal, and hash alike, exactly when their pairs are, and comparing
     them compares ints.  The paths build rows from their pair with
-    `from_scaled`; the public constructor stores a tuple of the entries,
-    keeps each `Fraction` it is given, converts each int and rejects an
-    empty tuple or any entry of another type (a float, a `Decimal`, a
-    numpy integer).  A row built from its pair keeps no `Fraction`: its
-    `coefficients` and `coefficient` build them at each read.
+    `from_scaled`.  The public constructor converts each entry, a `Fraction`
+    or an int, to the pair and keeps nothing else; it rejects an empty
+    sequence and any entry of another type (a float, a `Decimal`, a numpy
+    integer).  `coefficients` and `coefficient` build `Fraction`s from the
+    pair at each read.
 
     Rows produced by any of the computation paths satisfy: the entries sum
     to 1, the top entry is 1/(p+1), the entry of n^p is 1/2 for p >= 1, and
@@ -128,32 +128,28 @@ class CoefficientRow(FrozenRecord):
     corrupted rows can be built when exercising mismatch detection.
     """
 
-    __slots__ = ("numerators", "denominator", "_coefficients")
+    __slots__ = ("numerators", "denominator")
     numerators: tuple[int, ...]
     denominator: int
 
-    def __init__(self, coefficients: tuple[Fraction, ...]) -> None:
-        # A tuple: the caller's list stays the caller's.
-        coefficients = tuple(coefficients)
-        if not coefficients:
-            raise ValueError("a row holds a_1 at least, got no coefficients")
+    def __init__(self, coefficients: tuple[Fraction | int, ...]) -> None:
         from fractions import Fraction
 
-        if set(map(type, coefficients)) - {Fraction}:  # all Fractions skip the checks
-            for k, c in enumerate(coefficients, 1):
-                if not isinstance(c, (Fraction, int)):
-                    raise ValueError(f"coefficient of n^{k} is not a Fraction or int: {c!r}")
-            coefficients = tuple([Fraction(c) if isinstance(c, int) else c
-                                  for c in coefficients])
-        numerators, d = scaled([c.as_integer_ratio() for c in coefficients])
-        super().__init__(numerators, d, coefficients)
+        ratios = []
+        for k, c in enumerate(coefficients, 1):
+            if not isinstance(c, (Fraction, int)):
+                raise ValueError(f"coefficient of n^{k} is not a Fraction or int: {c!r}")
+            ratios.append(c.as_integer_ratio())
+        if not ratios:
+            raise ValueError("a row holds a_1 at least, got no coefficients")
+        super().__init__(*scaled(ratios))
 
     @classmethod
     def from_scaled(cls, numerators: tuple[int, ...], denominator: int) -> CoefficientRow:
         """The row a_j = numerators[j - 1] / denominator, from a pair already
         in the canonical form."""
         row = object.__new__(cls)
-        FrozenRecord.__init__(row, numerators, denominator, None)
+        FrozenRecord.__init__(row, numerators, denominator)
         return row
 
     @property
@@ -162,18 +158,12 @@ class CoefficientRow(FrozenRecord):
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        """The entries, ascending by power: the Fractions the constructor was
-        given, or reduced Fractions built from the pair at each read."""
-        if self._coefficients is not None:
-            return self._coefficients
+        """The entries, ascending by power, as reduced Fractions built from
+        the pair at each read."""
         from fractions import Fraction
 
         d = self.denominator
         return tuple([Fraction(c, d) for c in self.numerators])
-
-    def _fields(self) -> tuple:
-        # Equality and hashing read the canonical pair, never the Fractions.
-        return self.numerators, self.denominator
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(coefficients={self.coefficients!r})"

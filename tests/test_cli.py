@@ -440,20 +440,21 @@ def test_verify_builds_each_direct_row_once(monkeypatch):
     assert len(advanced) == 41 and sum(advanced) == 40
 
 
-def test_verify_never_rebuilds_fractions_from_a_pair(monkeypatch):
-    # The rows carry and compare as integer pairs: a passing run builds no
-    # Fraction from a pair, neither to continue the direct row nor to compare
-    # two equal rows.  Reading a pair row's coefficients builds one per entry.
+def test_verify_never_rebuilds_fractions_from_a_pair(capsys, monkeypatch):
+    # The rows carry and compare as integer pairs, and the direct path
+    # continues from a row's numerators: neither `verify` nor `bench` reads a
+    # row's coefficients, each read of which builds one Fraction per entry.
     built = []
     genuine = CoefficientRow.coefficients.fget
 
     def counted(row):
-        if row._coefficients is None:  # this read builds them from the pair
-            built.extend(row.numerators)
+        built.extend(row.numerators)
         return genuine(row)
 
     monkeypatch.setattr(CoefficientRow, "coefficients", property(counted))
-    assert cli.run_verification(40).passed
+    for argv in ("verify", "40"), ("bench", "64"):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
     assert built == []
     assert faulhaber.integration.integration_coefficients(3).coefficients == (0, Fraction(1, 4), Fraction(1, 2),
                                                             Fraction(1, 4))
@@ -705,9 +706,9 @@ def skipping_step(i):
     no direct row reaches degree i."""
     genuine = faulhaber.direct._advance
 
-    def advance(row, counter):
+    def advance(row, d, counter):
         if len(row) != i:
-            genuine(row, counter)
+            genuine(row, d, counter)
     return advance
 
 

@@ -10,6 +10,7 @@ from faulhaber import (
     faulhaber_via_bernoulli,
     integration_coefficients,
 )
+from faulhaber.direct import predicted_additions, predicted_multiplications
 
 F = Fraction
 
@@ -74,9 +75,10 @@ def test_row_for_tenth_powers_matches_bernoulli_path():
 
 
 def test_continues_exactly_from_an_int_built_row():
-    # The constructor turns int entries into Fractions, so the rolling row
-    # stays exact; from this corrupted row (a_1 = 0, a_2 = 1) the direct
-    # recurrence still agrees with the lemma, which continues on integers.
+    # The constructor converts int entries to the pair, and the first step
+    # turns the pair's ints into Fractions, so the rolling row stays exact;
+    # from this corrupted row (a_1 = 0, a_2 = 1) the direct recurrence still
+    # agrees with the lemma, which continues on integers.
     start = CoefficientRow((0, 1))
     assert start.coefficients == (F(0), F(1))
     assert {type(c) for c in start.coefficients} == {F}
@@ -96,3 +98,48 @@ def test_row_validation():
         row.coefficient(0)
     with pytest.raises(IndexError):
         row.coefficient(5)
+
+
+def stepped(entries, p):
+    """The paper's recurrence on Fractions, from the row `entries` to degree p:
+    a_j = (i/j) a'_(j-1) for j >= 2, then a_1 = 1 - (a_2 + ... + a_(i+1))."""
+    row = list(entries)
+    for i in range(len(row), p + 1):
+        row = [F(i, j) * row[j - 2] for j in range(2, i + 2)]
+        row.insert(0, 1 - sum(row))
+    return tuple(row)
+
+
+# Rows of degree s built off the direct path.  The first step reads each as
+# integer numerators over its denominator, which is 1 only for s = 0; at
+# s = p there is no step, and the start is the row.
+FOREIGN_STARTS = {
+    "lemma": integration_coefficients,
+    "bernoulli": faulhaber_via_bernoulli,
+}
+
+
+@pytest.mark.parametrize("s, p", [(0, 0), (0, 3), (1, 2), (2, 9), (5, 6), (7, 7), (12, 30),
+                                  (31, 40)])
+@pytest.mark.parametrize("source", FOREIGN_STARTS.values(), ids=FOREIGN_STARTS)
+def test_continues_from_a_foreign_pair(source, s, p):
+    start = source(s)
+    counter = OpCounter()
+    assert direct_coefficients(p, counter, start) == direct_coefficients(p)
+    assert counter == OpCounter(predicted_additions(p) - predicted_additions(s),
+                                predicted_multiplications(p) - predicted_multiplications(s))
+
+
+@pytest.mark.parametrize("p", [2, 3, 8, 20])  # 2: the start itself, no step
+def test_continues_from_a_hand_built_pair(p):
+    # Not a power-sum row: the step multiplies its numerators by i/(j d)
+    # exactly as it would multiply its Fractions by i/j.
+    entries = (F(1, 3), F(-2, 5), F(7, 6))
+    start = CoefficientRow(entries)
+    assert start.denominator == 30
+    counter = OpCounter()
+    row = direct_coefficients(p, counter, start)
+    assert row.coefficients == stepped(entries, p)
+    assert row == integration_coefficients(p, start)
+    assert counter == OpCounter(predicted_additions(p) - predicted_additions(2),
+                                predicted_multiplications(p) - predicted_multiplications(2))

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import faulhaber
+from faulhaber import _verify
+from faulhaber.identities import IdentityValues
 
 # The modules with a public surface: not `__main__`, nor `_verify`, which
 # holds the machinery of `verify` and `bench` behind `faulhaber.cli`.
@@ -42,6 +44,27 @@ def test_star_import_binds_exactly_all():
     exec("from faulhaber import *", namespace)
     del namespace["__builtins__"]
     assert set(namespace) == set(faulhaber.__all__)
+    # dir() lists the names `__getattr__` serves, which are never bound.
+    assert set(faulhaber.__all__) <= set(dir(faulhaber))
+
+
+# Each public function whose check of a negative degree or index no other
+# test reaches, called with -1, and the message it raises before any work.
+NEGATIVE = {
+    "faulhaber_via_bernoulli": (faulhaber.faulhaber_via_bernoulli, (),
+                                "exponent must be >= 0, got -1"),
+    "bernoulli_polynomial": (faulhaber.bernoulli_polynomial, (),
+                             "polynomial index must be >= 0, got -1"),
+    "check_integral_identity": (faulhaber.check_integral_identity, ((), IdentityValues(0)),
+                                "polynomial index must be >= 0, got -1"),
+    "run_verification": (_verify.run_verification, (), "p_max must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("function, rest, message", NEGATIVE.values(), ids=NEGATIVE)
+def test_a_negative_degree_or_index_is_rejected(function, rest, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(-1, *rest)
 
 
 def loaded_names(source):

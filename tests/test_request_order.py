@@ -38,8 +38,9 @@ def test_rows_and_counts_do_not_depend_on_request_order(degrees):
 def test_start_above_the_degree_rejected(path):
     with pytest.raises(ValueError, match="from degree 5"):
         path(4, start=direct_coefficients(5))
-    with pytest.raises(ValueError):
-        path(-1, start=direct_coefficients(0))
+    # Rejected before the start is read: any read of it raises AttributeError.
+    with pytest.raises(ValueError, match="exponent must be >= 0, got -1"):
+        path(-1, start=object())
 
 
 def test_lemma_takes_one_step_per_degree_after_the_start(monkeypatch):

@@ -66,11 +66,13 @@ def table_entry_off(k):
 
 def step_taken(times):
     """`direct._advance`, taken `times` times at step DEGREE, the step from
-    a row of length DEGREE."""
+    a row of length DEGREE.  The row enters scaled by d and leaves a step as
+    plain entries, so only the first of the steps taken passes d."""
     def wrong(genuine):
-        def advance(row, counter):
+        def advance(row, d, counter):
             for _ in range(times if len(row) == DEGREE else 1):
-                genuine(row, counter)
+                genuine(row, d, counter)
+                d = 1
         return advance
     return wrong
 
