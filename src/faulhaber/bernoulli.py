@@ -18,7 +18,7 @@ no state between calls.
 
 A Bernoulli polynomial is dense: a tuple of `Fraction`s ascending by
 power, its top coefficient nonzero.  The identities that tie them to power
-sums, which only `verify` checks, are in `identities`.
+sums, which only `verify` checks, are in `_verify`.
 """
 from __future__ import annotations
 
@@ -40,13 +40,13 @@ __all__ = [
 
 def __getattr__(name: str) -> object:
     # The benchmark's tracer looks the three identity checks up on this
-    # module; they are defined in `identities`.  This goes when the tracer
+    # module; they are defined in `_verify`.  This goes when the tracer
     # finds each function through its `__module__` (ROADMAP item 1).
     if name in ("check_power_sum_identity", "check_integral_identity",
                 "check_difference_identity"):
-        from . import identities
+        from . import _verify
 
-        return getattr(identities, name)
+        return getattr(_verify, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

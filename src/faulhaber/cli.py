@@ -554,9 +554,11 @@ def _silence_stdout() -> None:
 def main(argv: list[str] | None = None) -> int:
     # Arguments and results are exact integers of any size: `eval 1 N` takes
     # an N of 5,000 digits, and `bernoulli 2400` prints numerators past the
-    # interpreter's default 4,300-digit limit, so lift it before parsing.
-    # Python before 3.10.7 has no limit.
-    if hasattr(sys, "set_int_max_str_digits"):
+    # interpreter's default 4,300-digit limit, so lift it before parsing,
+    # and put the caller's back on every way out.  Python before 3.10.7 has
+    # no limit.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
     status = 0
     try:
@@ -585,6 +587,9 @@ def main(argv: list[str] | None = None) -> int:
         # instead of a traceback.
         _diagnose("interrupted")
         return 130
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return status
 
 

@@ -4,7 +4,7 @@ and exact evaluation of a coefficient row.
 Every equivalence test in the package bottoms out here — no closed forms,
 no shortcuts.  A row is evaluated on its own integer numerators and
 denominator by `rationals.horner`, the integer Horner scheme the identity
-checks of `identities` use too.
+checks of `verify` use too.
 """
 from __future__ import annotations
 

@@ -13,7 +13,7 @@ from their pairs never loads it.  It holds:
 - `scaled`, which puts reduced fractions over their least common
   denominator: the `Scaled` pair every row and polynomial is held as;
 - `horner`, the exact value of a polynomial held as integers over one
-  denominator, which the oracle and the checks of `identities` share.
+  denominator, which the oracle and the identity checks of `verify` share.
 """
 from __future__ import annotations
 

@@ -16,17 +16,19 @@ import pytest
 import faulhaber.bernoulli
 from faulhaber import (
     CoefficientRow,
-    IdentityValues,
     OpCounter,
     bernoulli_numbers,
-    check_difference_identity,
-    check_integral_identity,
-    check_power_sum_identity,
     direct_coefficients,
     evaluate_row,
     faulhaber_via_bernoulli,
     integration_coefficients,
     power_sum_bruteforce,
+)
+from faulhaber._verify import (
+    IdentityValues,
+    check_difference_identity,
+    check_integral_identity,
+    check_power_sum_identity,
 )
 from faulhaber import cli
 

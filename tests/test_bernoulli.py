@@ -9,18 +9,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import faulhaber.bernoulli
-from faulhaber import identities
+from faulhaber import _verify
 from faulhaber import (
     BernoulliTable,
-    IdentityValues,
     bernoulli_numbers,
     bernoulli_polynomial,
-    check_difference_identity,
-    check_integral_identity,
-    check_power_sum_identity,
     direct_coefficients,
     faulhaber_via_bernoulli,
     power_sum_bruteforce,
+)
+from faulhaber._verify import (
+    IdentityValues,
+    check_difference_identity,
+    check_integral_identity,
+    check_power_sum_identity,
 )
 from faulhaber.rationals import scaled
 
@@ -206,20 +208,20 @@ def test_antiderivatives_are_integrated_once(monkeypatch):
     # One IdentityValues integrates the pair of each of B_0..B_31 exactly
     # once, and checks out of order integrate nothing more.
     integrated = []
-    genuine = identities._integrate_pair
+    genuine = _verify._integrate_pair
 
     def counted(numerators, d):
         integrated.append((numerators, d))
         return genuine(numerators, d)
 
-    monkeypatch.setattr(identities, "_integrate_pair", counted)
+    monkeypatch.setattr(_verify, "_integrate_pair", counted)
     values = IdentityValues(31)
     assert len(integrated) == 32
     for i in (30, 3, 0, 17, 30):
         assert check_integral_identity(i, INTERVALS, values) == []
         for x in ENDPOINTS:
             integral = fraction_value(antiderivative(bernoulli_polynomial(i)), F(*x))
-            assert F(*values(i, integrated=True)[x]) == integral
+            assert F(*values.antiderivatives[i][x]) == integral
     assert integrated == [scaled([c.as_integer_ratio() for c in bernoulli_polynomial(i)])
                           for i in range(32)]
 
@@ -239,22 +241,6 @@ def test_identity_values_build_no_fraction_of_their_own(monkeypatch):
     IdentityValues(31)
     monkeypatch.undo()
     assert len(built) == sum(i + 1 for i in range(32)) == 528
-
-
-def test_values_above_the_limit_rejected():
-    values = IdentityValues(4)
-    assert values(4)[2] == VALUES(4)[2]
-    assert values(4, integrated=True)[(1, 2)] == VALUES(4, integrated=True)[(1, 2)]
-    with pytest.raises(ValueError, match="B_5"):
-        values(5)
-    with pytest.raises(ValueError, match="B_5"):
-        values(5, integrated=True)
-    with pytest.raises(ValueError, match="B_-1"):
-        values(-1)
-    with pytest.raises(ValueError, match="B_5"):
-        check_integral_identity(4, (((0, 1), (1, 1)),), values)
-    with pytest.raises(ValueError, match="B_5"):
-        check_difference_identity(5, range(2, 3), values)
 
 
 def test_difference_identity_example():
@@ -311,9 +297,9 @@ def difference_by_fractions(i, n, polynomials):
 
 
 IDENTITY_FAMILIES = [
-    (check_power_sum_identity, power_sum_by_fractions, identities.POWER_SUM_IDENTITY_RANGE),
-    (check_integral_identity, integral_by_fractions, identities.INTEGRAL_IDENTITY_RANGE),
-    (check_difference_identity, difference_by_fractions, identities.DIFFERENCE_IDENTITY_RANGE),
+    (check_power_sum_identity, power_sum_by_fractions, _verify.POWER_SUM_IDENTITY_RANGE),
+    (check_integral_identity, integral_by_fractions, _verify.INTEGRAL_IDENTITY_RANGE),
+    (check_difference_identity, difference_by_fractions, _verify.DIFFERENCE_IDENTITY_RANGE),
 ]
 
 
@@ -333,7 +319,7 @@ def test_integer_checks_agree_with_fraction_arithmetic(
     values = IdentityValues(31)
     table = bernoulli_numbers(31)
     polynomials = [faulhaber.bernoulli.bernoulli_polynomial(i, table) for i in range(32)]
-    b4 = values(4)
+    b4 = values.polynomials[4]
     assert ((b4.numerators, b4.denominator) == scaled(
         [c.as_integer_ratio() for c in bernoulli_polynomial(4)])) is not shift_b4
     indices, points = ranges
@@ -364,7 +350,7 @@ def test_each_check_reads_its_own_values(monkeypatch):
     # B_7(5) shifted by one where `horner` gives it: each family fails
     # exactly at the checks that read that value, counted from the ranges,
     # so no check was merged with another or dropped.
-    genuine = identities.horner
+    genuine = _verify.horner
     form = scaled([c.as_integer_ratio() for c in bernoulli_polynomial(PERTURBED[0])])
 
     def perturbed(numerators, d, x):
@@ -373,18 +359,18 @@ def test_each_check_reads_its_own_values(monkeypatch):
             value += 1
         return value, denominator
 
-    monkeypatch.setattr(identities, "horner", perturbed)
+    monkeypatch.setattr(_verify, "horner", perturbed)
     expected = {}
     for family, (indices, points) in (
-        ("power-sum identity", identities.POWER_SUM_IDENTITY_RANGE),
-        ("integral identity", identities.INTEGRAL_IDENTITY_RANGE),
-        ("difference identity", identities.DIFFERENCE_IDENTITY_RANGE),
+        ("power-sum identity", _verify.POWER_SUM_IDENTITY_RANGE),
+        ("integral identity", _verify.INTEGRAL_IDENTITY_RANGE),
+        ("difference identity", _verify.DIFFERENCE_IDENTITY_RANGE),
     ):
         reads = sum(reads_perturbed(family, index, x) for index in indices for x in points)
         expected[family] = len(indices) * len(points), reads
     assert expected == {"power-sum identity": (600, 1), "integral identity": (775, 0),
                         "difference identity": (609, 2)}
-    assert identities.tallies() == expected
+    assert _verify.tallies() == expected
     values = IdentityValues(31)
     assert check_power_sum_identity(7, range(1, 21), values) == [4]
     assert check_difference_identity(7, range(0, 21), values) == [4, 5]

@@ -14,7 +14,6 @@ import pytest
 
 import faulhaber.bernoulli
 import faulhaber.direct
-import faulhaber.identities
 import faulhaber.integration
 from faulhaber import CoefficientRow
 from faulhaber import _verify, cli
@@ -152,7 +151,8 @@ def test_eval_check_rejects_an_integer_valued_wrong_lemma_row(capsys, monkeypatc
 @pytest.fixture
 def default_digit_limit():
     """Run under the interpreter's default 4,300-digit limit on int/str
-    conversion, which `cli.main` lifts; restore the previous limit after."""
+    conversion, which `cli.main` lifts while it runs; restore the previous
+    limit after."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
@@ -377,21 +377,21 @@ def test_identity_phase_evaluates_each_polynomial_once_per_point(monkeypatch):
     # integer point of another family sharing one value; a second phase
     # evaluates them again.
     evaluations = []
-    genuine = faulhaber.identities.horner
+    genuine = _verify.horner
 
     def counted(numerators, d, x):
         evaluations.append(x)
         return genuine(numerators, d, x)
 
-    monkeypatch.setattr(faulhaber.identities, "horner", counted)
+    monkeypatch.setattr(_verify, "horner", counted)
     pairs = set()
-    for p, n in itertools.product(*faulhaber.identities.POWER_SUM_IDENTITY_RANGE):
+    for p, n in itertools.product(*_verify.POWER_SUM_IDENTITY_RANGE):
         pairs |= {("B", p, Fraction(n + 1)), ("B", p, Fraction(1))}
-    for i, (a, b) in itertools.product(*faulhaber.identities.INTEGRAL_IDENTITY_RANGE):
+    for i, (a, b) in itertools.product(*_verify.INTEGRAL_IDENTITY_RANGE):
         a, b = (Fraction(*x) if type(x) is tuple else Fraction(x) for x in (a, b))
         pairs |= {("antiderivative", i, a), ("antiderivative", i, b)}
         pairs |= {("B", i + 1, a), ("B", i + 1, b)}
-    for i, n in itertools.product(*faulhaber.identities.DIFFERENCE_IDENTITY_RANGE):
+    for i, n in itertools.product(*_verify.DIFFERENCE_IDENTITY_RANGE):
         pairs |= {("B", i, Fraction(n + 1)), ("B", i, Fraction(n))}
     tallies = {
         "power-sum identity": (600, 0),
@@ -400,10 +400,10 @@ def test_identity_phase_evaluates_each_polynomial_once_per_point(monkeypatch):
     }
 
     assert len(pairs) == 880
-    assert faulhaber.identities.tallies() == tallies
+    assert _verify.tallies() == tallies
     assert len(evaluations) == 880
     evaluations.clear()
-    assert faulhaber.identities.tallies() == tallies
+    assert _verify.tallies() == tallies
     assert len(evaluations) == 880
 
 
@@ -420,7 +420,7 @@ def test_identity_phase_builds_one_table_and_each_polynomial_once(monkeypatch):
             return genuine(*args)
 
         monkeypatch.setattr(faulhaber.bernoulli, name, counted)
-    assert all(failed == 0 for _, failed in faulhaber.identities.tallies().values())
+    assert all(failed == 0 for _, failed in _verify.tallies().values())
     assert calls == [("bernoulli_numbers", 31)] + [("bernoulli_polynomial", i) for i in range(32)]
 
 
@@ -784,3 +784,6 @@ def test_edge_inputs_exit_with_their_status_and_no_traceback(
     assert re.fullmatch(stdout, out, re.DOTALL), out
     assert "Traceback" not in err
     assert re.fullmatch(stderr, err, re.DOTALL), err
+    # `main` lifts the int digit limit while it runs; its caller keeps its own.
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits

@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from faulhaber import CoefficientRow, direct_coefficients, integration_coefficients
-from faulhaber.identities import _integrate_pair
+from faulhaber._verify import _integrate_pair
 from faulhaber.integration import integration_step
 from faulhaber.rationals import horner
 

@@ -11,7 +11,6 @@ import pytest
 
 import faulhaber
 from faulhaber import _verify
-from faulhaber.identities import IdentityValues
 
 # The modules with a public surface: not `__main__`, nor `_verify`, which
 # holds the machinery of `verify` and `bench` behind `faulhaber.cli`.
@@ -48,14 +47,25 @@ def test_star_import_binds_exactly_all():
     assert set(faulhaber.__all__) <= set(dir(faulhaber))
 
 
-# Each public function whose check of a negative degree or index no other
-# test reaches, called with -1, and the message it raises before any work.
+def test_the_identity_checks_are_not_exported():
+    # They are `verify`'s machinery, in `_verify`, not the library's.
+    assert len(faulhaber.__all__) == 10
+    for name in ("IdentityValues", "check_power_sum_identity", "check_integral_identity",
+                 "check_difference_identity"):
+        assert name not in dir(faulhaber)
+        with pytest.raises(AttributeError):
+            getattr(faulhaber, name)
+
+
+# Each function whose check of a negative degree or index no other test
+# reaches, called with -1, and the message it raises before any work.
 NEGATIVE = {
     "faulhaber_via_bernoulli": (faulhaber.faulhaber_via_bernoulli, (),
                                 "exponent must be >= 0, got -1"),
     "bernoulli_polynomial": (faulhaber.bernoulli_polynomial, (),
                              "polynomial index must be >= 0, got -1"),
-    "check_integral_identity": (faulhaber.check_integral_identity, ((), IdentityValues(0)),
+    "check_integral_identity": (_verify.check_integral_identity,
+                                ((), _verify.IdentityValues(0)),
                                 "polynomial index must be >= 0, got -1"),
     "run_verification": (_verify.run_verification, (), "p_max must be >= 0, got -1"),
 }

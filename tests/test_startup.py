@@ -13,7 +13,7 @@ on the direct path, whose steps the operation counts are defined on,
 only the direct path's counted pass, and loads neither another path nor
 `verify`'s `_verify`.  Every row
 format and the `bernoulli` table print from integer pairs, and no module of
-the paths, nor the oracle or `identities`, builds a `Fraction` when it is
+the paths, nor the oracle or `_verify`, builds a `Fraction` when it is
 imported.  Each program
 runs in a fresh interpreter under `-S`, so that no `site` hook (a `.pth`
 file of some installed package) preloads modules first.
@@ -53,7 +53,7 @@ print("loaded:", *sorted(m for m in sys.modules if m.startswith("faulhaber.") or
 """
 
 # Counts the Fractions built while the CLI, the modules of the paths, the
-# oracle and `identities` are imported.
+# oracle and `_verify` are imported.
 CONSTRUCTION_PROGRAM = """\
 import fractions
 built = 0
@@ -64,14 +64,13 @@ def counting_new(cls, *args, **kwargs):
     return new(cls, *args, **kwargs)
 fractions.Fraction.__new__ = staticmethod(counting_new)
 import faulhaber.cli
-from faulhaber import bernoulli, direct, identities, integration, oracle, rationals
+from faulhaber import _verify, bernoulli, direct, integration, oracle, rationals
 print(built)
 """
 
 FRACTIONS = {"fractions", "decimal", "numbers"}  # fractions imports the other two
 EVERYTHING = {"faulhaber.cli", "faulhaber._verify", "faulhaber.rationals", "faulhaber.oracle",
-              "faulhaber.direct", "faulhaber.integration", "faulhaber.bernoulli",
-              "faulhaber.identities", *FRACTIONS}
+              "faulhaber.direct", "faulhaber.integration", "faulhaber.bernoulli", *FRACTIONS}
 LEMMA = {"faulhaber.cli", "faulhaber.rationals", "faulhaber.integration"}
 BERNOULLI = {"faulhaber.cli", "faulhaber.rationals", "faulhaber.bernoulli"}
 

@@ -11,7 +11,6 @@ import pytest
 
 import faulhaber.bernoulli
 import faulhaber.direct
-import faulhaber.identities
 import faulhaber.integration
 from faulhaber import BernoulliTable, CoefficientRow, _verify
 
@@ -159,15 +158,15 @@ FAULTS = {
         lambda P: {"op counts": degrees(DEGREE, P)}),
     # The top terms of (i+1) * integral(B_i) and of B_{i+1} cancel.
     "horner without top": (
-        faulhaber.identities, "horner", horner_without_top,
+        _verify, "horner", horner_without_top,
         lambda P: {"power-sum identity": 600, "difference identity": 609}),
     # The power-sum and difference identities subtract two values: a
     # constant offset cancels.
     "horner off by one": (
-        faulhaber.identities, "horner", horner_off_by_one,
+        _verify, "horner", horner_off_by_one,
         lambda P: {"integral identity": 112}),
     "brute-force sum short": (
-        faulhaber.identities, "power_sum_bruteforce", sum_one_term_short,
+        _verify, "power_sum_bruteforce", sum_one_term_short,
         lambda P: {"power-sum identity": 600}),
     "bernoulli_polynomial entry": (
         faulhaber.bernoulli, "bernoulli_polynomial", b4_linear_off,
