@@ -6,11 +6,12 @@ import pytest
 from faulhaber import (
     CoefficientRow,
     OpCounter,
+    cli,
     direct_coefficients,
     faulhaber_via_bernoulli,
     integration_coefficients,
 )
-from faulhaber.direct import predicted_additions, predicted_multiplications
+from faulhaber.direct import counted_pass, predicted_additions, predicted_multiplications
 
 F = Fraction
 
@@ -130,16 +131,63 @@ def test_continues_from_a_foreign_pair(source, s, p):
                                 predicted_multiplications(p) - predicted_multiplications(s))
 
 
+HAND_BUILT = (F(1, 3), F(-2, 5), F(7, 6))
+
+
 @pytest.mark.parametrize("p", [2, 3, 8, 20])  # 2: the start itself, no step
 def test_continues_from_a_hand_built_pair(p):
     # Not a power-sum row: the step multiplies its numerators by i/(j d)
     # exactly as it would multiply its Fractions by i/j.
-    entries = (F(1, 3), F(-2, 5), F(7, 6))
-    start = CoefficientRow(entries)
+    start = CoefficientRow(HAND_BUILT)
     assert start.denominator == 30
     counter = OpCounter()
     row = direct_coefficients(p, counter, start)
-    assert row.coefficients == stepped(entries, p)
+    assert row.coefficients == stepped(HAND_BUILT, p)
     assert row == integration_coefficients(p, start)
     assert counter == OpCounter(predicted_additions(p) - predicted_additions(2),
                                 predicted_multiplications(p) - predicted_multiplications(2))
+
+
+@pytest.fixture
+def fractions_built(monkeypatch):
+    """The Fractions built while the test runs, one entry each.  A lone int
+    made a Fraction is left out: that is no rational operation, and some
+    Python versions convert the int operand of a mixed sum before adding.
+    Python 3.12 and later build an operation's result through
+    `_from_coprime_ints`, which bypasses `__new__`, so those calls count too."""
+    built = []
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        if len(args) + len(kwargs) != 1 or type(args[0]) is not int:
+            built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+    if "_from_coprime_ints" in vars(F):
+        from_coprime = F._from_coprime_ints.__func__
+
+        def counting_from_coprime(cls, numerator, denominator):
+            built.append((numerator, denominator))
+            return from_coprime(cls, numerator, denominator)
+
+        monkeypatch.setattr(F, "_from_coprime_ints", classmethod(counting_from_coprime))
+    return built
+
+
+# The starts are built at collection, before any count begins; None is [1].
+@pytest.mark.parametrize("start, p", [(None, 0), (None, 1), (None, 5), (None, 40),
+                                      (integration_coefficients(12), 40),
+                                      (CoefficientRow(HAND_BUILT), 20)])
+def test_builds_one_fraction_per_counted_operation(fractions_built, start, p):
+    # Each multiplication i/(j d) times an entry is one reduced Fraction, and
+    # each addition one sum; the rest of the path works on int pairs.
+    counter = OpCounter()
+    direct_coefficients(p, counter, start)
+    assert len(fractions_built) == counter.additions + counter.multiplications
+
+
+def test_counted_pass_builds_one_fraction_per_counted_operation(fractions_built):
+    *_, (p, _, additions, multiplications, matches) = counted_pass(cli.bench_schedule(64))
+    assert (p, matches) == (64, True)
+    assert len(fractions_built) == additions + multiplications
