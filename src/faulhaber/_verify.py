@@ -13,11 +13,12 @@ Each identity check takes one polynomial index and every point of its
 family's range, and returns the points where the identity fails.  The
 checks compare integers only: one `IdentityValues`, built per run of the
 checks and passed to each, holds every polynomial scaled to its common
-denominator and its antiderivative integrated on that pair, and gives
-their value at each point once, from `horner`, as an integer over a
-positive denominator (d itself at an integer point); each identity is
-cross-multiplied by its denominators, so no check builds a Fraction.
-A point is an int, or a rational u/v as the int pair (u, v) with v > 0.
+denominator and its antiderivative integrated on that pair, as `Scaled`
+pairs.  Each check call evaluates the pairs it reads by `horner`, once at
+each point it reads, as an integer over a positive denominator (d itself
+at an integer point); each identity is cross-multiplied by its
+denominators, so no check builds a Fraction.  A point is an int, or a
+rational u/v as the int pair (u, v) with v > 0.
 """
 from __future__ import annotations
 
@@ -175,28 +176,13 @@ def _integrate_pair(numerators: tuple[int, ...], d: int) -> Scaled:
     return tuple([c // g for c in integral]), d * m // g
 
 
-class PolynomialValues(dict):
-    """The values of one polynomial, held as its pair `numerators` over
-    `denominator`, by point: `values[x]` is computed by `horner` when first
-    read and kept."""
-
-    __slots__ = ("numerators", "denominator")
-
-    def __init__(self, form: Scaled) -> None:
-        self.numerators, self.denominator = form
-
-    def __missing__(self, x: Point) -> tuple[int, int]:
-        self[x] = value = horner(self.numerators, self.denominator, x)
-        return value
-
-
 class IdentityValues:
     """B_0..B_limit from one table, each scaled once and integrated on that
-    pair (zero constant term), and their values, each computed once per point.
+    pair (zero constant term).
 
     `polynomials[i]` is B_i and `antiderivatives[i]` the antiderivative of
-    B_i, each a `PolynomialValues`: its value at each point x, as `horner`
-    gives it, is an integer over a positive denominator, d itself at an
+    B_i, each a `Scaled` pair (numerators, d): `horner` gives its value at a
+    point x as an integer over a positive denominator, d itself at an
     integer x.
     """
 
@@ -206,9 +192,8 @@ class IdentityValues:
         table = bernoulli.bernoulli_numbers(limit)
         # Through the module attribute, which a tracer or a test may wrap.
         polynomials = [bernoulli.bernoulli_polynomial(i, table) for i in range(limit + 1)]
-        forms = [scaled([c.as_integer_ratio() for c in f]) for f in polynomials]
-        self.polynomials = tuple([PolynomialValues(form) for form in forms])
-        self.antiderivatives = tuple([PolynomialValues(_integrate_pair(*form)) for form in forms])
+        self.polynomials = tuple([scaled([c.as_integer_ratio() for c in f]) for f in polynomials])
+        self.antiderivatives = tuple([_integrate_pair(*form) for form in self.polynomials])
 
 
 def check_power_sum_identity(p: int, ns: range, values: IdentityValues) -> list[int]:
@@ -218,14 +203,15 @@ def check_power_sum_identity(p: int, ns: range, values: IdentityValues) -> list[
     The subtracted constant is B_p at 1, the plus-convention Bernoulli
     number; it equals B_p(0) for every p >= 2 and keeps the identity exact
     at p = 1 as well.  With B_p = H/d, the test is
-    H(n+1) - H(1) == p * d * f_{p-1}(n).
+    H(n+1) - H(1) == p * d * f_{p-1}(n), with H evaluated once at 1 and at
+    each n+1.
     """
     if p < 1:
         raise ValueError(f"power-sum identity needs p >= 1, got {p}")
-    b = values.polynomials[p]
-    low = b[1][0]
-    scale = p * b.denominator
-    return [n for n in ns if b[n + 1][0] - low != scale * power_sum_bruteforce(p - 1, n)]
+    numerators, d = values.polynomials[p]
+    h = {x: horner(numerators, d, x)[0] for x in {1, *[n + 1 for n in ns]}}
+    scale = p * d
+    return [n for n in ns if h[n + 1] - h[1] != scale * power_sum_bruteforce(p - 1, n)]
 
 
 def check_integral_identity(
@@ -237,7 +223,7 @@ def check_integral_identity(
     The left side is B_i integrated symbolically and evaluated at the
     endpoints; both sides are exact.  With F the antiderivative, the
     identity says that G = (i+1) F - B_{i+1} takes one value at a and at b.
-    With F = P/Q and B_{i+1} = R/S at each endpoint x,
+    With F = P/Q and B_{i+1} = R/S at each endpoint x, each evaluated once,
     G(x) = ((i+1) P(x) S(x) - R(x) Q(x)) / (Q(x) S(x)), and the test is
     G(a) == G(b), cross-multiplied.
     """
@@ -246,7 +232,7 @@ def check_integral_identity(
     integral, successor = values.antiderivatives[i], values.polynomials[i + 1]
     g = {}
     for x in {x for interval in intervals for x in interval}:
-        (p, q), (r, s) = integral[x], successor[x]
+        (p, q), (r, s) = horner(*integral, x), horner(*successor, x)
         g[x] = (i + 1) * p * s - r * q, q * s
     return [(a, b) for a, b in intervals if g[a][0] * g[b][1] != g[b][0] * g[a][1]]
 
@@ -255,13 +241,15 @@ def check_difference_identity(i: int, ns: range, values: IdentityValues) -> list
     """The n in `ns` where B_i(n+1) - B_i(n) differs from i * n^(i-1).
     Defined for i > 1 only.
 
-    With B_i = H/d, the test is H(n+1) - H(n) == i * d * n^(i-1).
+    With B_i = H/d, the test is H(n+1) - H(n) == i * d * n^(i-1), with H
+    evaluated once at each n and n+1.
     """
     if i <= 1:
         raise ValueError(f"difference identity needs i > 1, got {i}")
-    b = values.polynomials[i]
-    scale = i * b.denominator
-    return [n for n in ns if b[n + 1][0] - b[n][0] != scale * n ** (i - 1)]
+    numerators, d = values.polynomials[i]
+    h = {x: horner(numerators, d, x)[0] for x in {*ns, *[n + 1 for n in ns]}}
+    scale = i * d
+    return [n for n in ns if h[n + 1] - h[n] != scale * n ** (i - 1)]
 
 
 def tallies() -> dict[str, tuple[int, int]]:

@@ -24,10 +24,10 @@ from faulhaber._verify import (
     check_integral_identity,
     check_power_sum_identity,
 )
-from faulhaber.rationals import scaled
+from faulhaber.rationals import horner, scaled
 
 F = Fraction
-# The polynomials and values of the identities through B_31, the highest
+# The polynomial pairs of the identities through B_31, the highest
 # index `verify` reads, shared by the checks below that patch nothing.
 VALUES = IdentityValues(31)
 
@@ -221,7 +221,7 @@ def test_antiderivatives_are_integrated_once(monkeypatch):
         assert check_integral_identity(i, INTERVALS, values) == []
         for x in ENDPOINTS:
             integral = fraction_value(antiderivative(bernoulli_polynomial(i)), F(*x))
-            assert F(*values.antiderivatives[i][x]) == integral
+            assert F(*horner(*values.antiderivatives[i], x)) == integral
     assert integrated == [scaled([c.as_integer_ratio() for c in bernoulli_polynomial(i)])
                           for i in range(32)]
 
@@ -320,8 +320,9 @@ def test_integer_checks_agree_with_fraction_arithmetic(
     table = bernoulli_numbers(31)
     polynomials = [faulhaber.bernoulli.bernoulli_polynomial(i, table) for i in range(32)]
     b4 = values.polynomials[4]
-    assert ((b4.numerators, b4.denominator) == scaled(
-        [c.as_integer_ratio() for c in bernoulli_polynomial(4)])) is not shift_b4
+    assert (b4 == scaled([c.as_integer_ratio() for c in bernoulli_polynomial(4)])) is not shift_b4
+    for x in (0, 1, (1, 2), -1, 2):
+        assert F(*horner(*b4, x)) == fraction_value(polynomials[4], point(x))
     indices, points = ranges
     failed = 0
     for index in indices:

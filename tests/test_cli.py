@@ -1,12 +1,12 @@
 """Command-line contract: output formats, exit statuses, cross-verification,
 and the benchmark table."""
 import errno
-import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -178,6 +178,19 @@ def test_arguments_beyond_the_int_digit_limit_parse(capsys, default_digit_limit)
     code, out, err = run_cli(capsys, "eval", "1", "1" + "0" * 5000)
     assert (code, err) == (0, "")
     assert out == "5" + "0" * 4999 + "5" + "0" * 4999 + "\n"
+
+
+def test_main_runs_where_sys_has_no_digit_limit(capsys, monkeypatch):
+    # Python before 3.10.7 has no limit on int/str conversion and no
+    # `sys.get_int_max_str_digits`: `main` runs without lifting one, and the
+    # interpreter's limit is the same once the functions are back.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    assert run_cli(capsys, "coeffs", "3") == (0, "a_1=0 a_2=1/4 a_3=1/2 a_4=1/4\n", "")
+    monkeypatch.undo()
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_overlong_non_integer_is_echoed_in_short(capsys, default_digit_limit):
@@ -372,39 +385,47 @@ def test_verify_reports_failed_identities(capsys, monkeypatch, shift_b4_linear):
 
 
 def test_identity_phase_evaluates_each_polynomial_once_per_point(monkeypatch):
-    # Every (polynomial, point) pair the three families need is evaluated by
-    # `horner` once per identity phase, an integral endpoint and the equal
-    # integer point of another family sharing one value; a second phase
-    # evaluates them again.
-    evaluations = []
-    genuine = _verify.horner
+    # Each check call evaluates by `horner` every (polynomial, point) pair it
+    # reads exactly once: B_p at 1 and at each n + 1 for the power-sum
+    # identity, the antiderivative of B_i and B_{i+1} at each endpoint for
+    # the integral identity, and B_i at each n and n + 1 for the difference
+    # identity.  No value is kept from one call or phase to the next.
+    calls = []
+    genuine_horner = _verify.horner
 
     def counted(numerators, d, x):
-        evaluations.append(x)
-        return genuine(numerators, d, x)
+        calls[-1][1].append((numerators, d, x))
+        return genuine_horner(numerators, d, x)
+
+    def read(name, index, points, values):
+        """The (pair, point) evaluations the check `name` needs."""
+        if name == "check_power_sum_identity":
+            return {(*values.polynomials[index], x) for x in {1, *[n + 1 for n in points]}}
+        if name == "check_integral_identity":
+            return {(*form, x) for x in {x for interval in points for x in interval}
+                    for form in (values.antiderivatives[index], values.polynomials[index + 1])}
+        return {(*values.polynomials[index], x) for x in {*points, *[n + 1 for n in points]}}
 
     monkeypatch.setattr(_verify, "horner", counted)
-    pairs = set()
-    for p, n in itertools.product(*_verify.POWER_SUM_IDENTITY_RANGE):
-        pairs |= {("B", p, Fraction(n + 1)), ("B", p, Fraction(1))}
-    for i, (a, b) in itertools.product(*_verify.INTEGRAL_IDENTITY_RANGE):
-        a, b = (Fraction(*x) if type(x) is tuple else Fraction(x) for x in (a, b))
-        pairs |= {("antiderivative", i, a), ("antiderivative", i, b)}
-        pairs |= {("B", i + 1, a), ("B", i + 1, b)}
-    for i, n in itertools.product(*_verify.DIFFERENCE_IDENTITY_RANGE):
-        pairs |= {("B", i, Fraction(n + 1)), ("B", i, Fraction(n))}
+    for name in ("check_power_sum_identity", "check_integral_identity",
+                 "check_difference_identity"):
+        def marked(index, points, values, name=name, genuine=getattr(_verify, name)):
+            calls.append((read(name, index, points, values), []))
+            return genuine(index, points, values)
+
+        monkeypatch.setattr(_verify, name, marked)
     tallies = {
         "power-sum identity": (600, 0),
         "integral identity": (775, 0),
         "difference identity": (609, 0),
     }
 
-    assert len(pairs) == 880
-    assert _verify.tallies() == tallies
-    assert len(evaluations) == 880
-    evaluations.clear()
-    assert _verify.tallies() == tallies
-    assert len(evaluations) == 880
+    for phases in 1, 2:
+        assert _verify.tallies() == tallies
+        assert len(calls) == phases * (30 + 31 + 29)
+        for needed, evaluated in calls:
+            assert Counter(evaluated) == Counter(needed)
+        assert sum(len(evaluated) for _, evaluated in calls) == phases * (630 + 310 + 638)
 
 
 def test_identity_phase_builds_one_table_and_each_polynomial_once(monkeypatch):
