@@ -15,14 +15,17 @@ pays for each step once.
 The paper's cost model counts the rational operations of this recurrence:
 from [1] to degree p, p(p+1)/2 multiplications and p(p+1)/2 + p
 additions/subtractions.  `OpCounter` holds that tally, and `counted_pass`
-checks it against those formulas for `bench` and `verify`.  The tally is
-also the work done: each counted operation builds exactly one `Fraction`,
-a multiplication as the one reduced ratio it yields, and nothing else
-builds one, save the int operand of a mixed sum, which some Python
-versions convert first (tests/test_direct.py counts them).  Every slot is
-computed, zeros included, because the paper counts every slot; skipping
-the zeros and keeping the sum on integers belong to the integer step of
-ROADMAP item 2.
+checks it against those formulas for `bench` and `verify`.  The tally
+counts every slot, zeros included, as the paper does; the work done is
+less.  About half of every row is zero (the entries that carry an odd
+Bernoulli number b_i, i >= 3), and a zero stays zero one power higher, so
+a zero slot is written as the int 0 and adds nothing to the sum.  Each
+counted operation on a nonzero slot builds exactly one `Fraction`, a
+multiplication as the one reduced ratio it yields; a zero slot builds
+none, and nothing else builds one, save the int operand of a mixed sum,
+which some Python versions convert first (tests/test_direct.py counts
+them).  Keeping the sum and the slots on integers belongs to the integer
+step of ROADMAP item 2.
 """
 from __future__ import annotations
 
@@ -56,21 +59,26 @@ def _advance(row: list[Fraction | int], d: int, counter: OpCounter | None) -> No
 
     The incoming entries are held multiplied by d, as a row's numerators
     over its denominator are: slot j takes i/(j d) times the entry n/q one
-    power lower, built as the single reduced Fraction(n i, q j d).  The row
-    leaves as Fractions, so each later step passes d = 1.  j runs downward
-    so row[j - 2] is still the previous row's entry when read.  Step i costs
-    i multiplications (one per slot j = i+1..2, zero slots included) and
-    i + 1 additions/subtractions (i into the running sum, then 1 - s); a
-    counter gains both once per step, and the step builds one Fraction for
-    each of them.
+    power lower, built as the single reduced Fraction(n i, q j d).  Where
+    n = 0 the slot is the int 0 and the running sum is left as it is.  The
+    row leaves as Fractions and int zeros, so each later step passes d = 1.
+    j runs downward so row[j - 2] is still the previous row's entry when
+    read.  Step i costs i multiplications (one per slot j = i+1..2, zero
+    slots included) and i + 1 additions/subtractions (i into the running
+    sum, then 1 - s); a counter gains both once per step.  The step builds
+    one Fraction for each of them on a nonzero slot, and none for a zero
+    slot: two fewer than the tally per zero entry it reads.
     """
     i = len(row)
     row.append(0)
     s = 0
     for j in range(i + 1, 1, -1):
         n, q = row[j - 2].as_integer_ratio()
-        row[j - 1] = term = Fraction(n * i, q * j * d)
-        s += term
+        if n:
+            row[j - 1] = term = Fraction(n * i, q * j * d)
+            s += term
+        else:
+            row[j - 1] = 0
     row[0] = 1 - s
     if counter is not None:
         counter.additions += i + 1

@@ -76,10 +76,11 @@ def test_row_for_tenth_powers_matches_bernoulli_path():
 
 
 def test_continues_exactly_from_an_int_built_row():
-    # The constructor converts int entries to the pair, and the first step
-    # turns the pair's ints into Fractions, so the rolling row stays exact;
-    # from this corrupted row (a_1 = 0, a_2 = 1) the direct recurrence still
-    # agrees with the lemma, which continues on integers.
+    # The constructor converts int entries to the pair.  The first step turns
+    # the pair's nonzero ints into Fractions and leaves its zero slots the
+    # int 0, so the rolling row stays exact; from this corrupted row
+    # (a_1 = 0, a_2 = 1) the direct recurrence still agrees with the lemma,
+    # which continues on integers.
     start = CoefficientRow((0, 1))
     assert start.coefficients == (F(0), F(1))
     assert {type(c) for c in start.coefficients} == {F}
@@ -132,20 +133,24 @@ def test_continues_from_a_foreign_pair(source, s, p):
 
 
 HAND_BUILT = (F(1, 3), F(-2, 5), F(7, 6))
+# A zero where no theorem puts one: the first step, on integers, skips it,
+# and so does every later step the zero carries to.
+HAND_BUILT_ZERO = (F(1, 3), 0, F(7, 6))
 
 
 @pytest.mark.parametrize("p", [2, 3, 8, 20])  # 2: the start itself, no step
 def test_continues_from_a_hand_built_pair(p):
     # Not a power-sum row: the step multiplies its numerators by i/(j d)
     # exactly as it would multiply its Fractions by i/j.
-    start = CoefficientRow(HAND_BUILT)
-    assert start.denominator == 30
-    counter = OpCounter()
-    row = direct_coefficients(p, counter, start)
-    assert row.coefficients == stepped(HAND_BUILT, p)
-    assert row == integration_coefficients(p, start)
-    assert counter == OpCounter(predicted_additions(p) - predicted_additions(2),
-                                predicted_multiplications(p) - predicted_multiplications(2))
+    for entries, d in (HAND_BUILT, 30), (HAND_BUILT_ZERO, 6):
+        start = CoefficientRow(entries)
+        assert start.denominator == d
+        counter = OpCounter()
+        row = direct_coefficients(p, counter, start)
+        assert row.coefficients == stepped(entries, p)
+        assert row == integration_coefficients(p, start)
+        assert counter == OpCounter(predicted_additions(p) - predicted_additions(2),
+                                    predicted_multiplications(p) - predicted_multiplications(2))
 
 
 @pytest.fixture
@@ -175,19 +180,38 @@ def fractions_built(monkeypatch):
     return built
 
 
+def zeros_read(start, p):
+    """The zero entries of the rows the direct steps from `start` (None is
+    [1]) to degree p read, those of degrees start..p-1, as the lemma builds
+    them from the same start."""
+    row = start or CoefficientRow((1,))
+    zeros = 0
+    for s in range(row.degree, p):
+        row = integration_coefficients(s, row)
+        zeros += row.numerators.count(0)
+    return zeros
+
+
 # The starts are built at collection, before any count begins; None is [1].
 @pytest.mark.parametrize("start, p", [(None, 0), (None, 1), (None, 5), (None, 40),
                                       (integration_coefficients(12), 40),
-                                      (CoefficientRow(HAND_BUILT), 20)])
+                                      (CoefficientRow(HAND_BUILT), 20),
+                                      (CoefficientRow(HAND_BUILT_ZERO), 20)])
 def test_builds_one_fraction_per_counted_operation(fractions_built, start, p):
-    # Each multiplication i/(j d) times an entry is one reduced Fraction, and
-    # each addition one sum; the rest of the path works on int pairs.
+    # Each multiplication i/(j d) times a nonzero entry is one reduced
+    # Fraction, and each addition of it one sum; a zero entry read makes a
+    # zero slot, which builds neither.  The rest of the path works on int
+    # pairs.  From [1] to p = 5, 35 counted operations over 2 zeros build 31.
+    zeros = zeros_read(start, p)
+    fractions_built.clear()
     counter = OpCounter()
     direct_coefficients(p, counter, start)
-    assert len(fractions_built) == counter.additions + counter.multiplications
+    assert len(fractions_built) == counter.additions + counter.multiplications - 2 * zeros
 
 
 def test_counted_pass_builds_one_fraction_per_counted_operation(fractions_built):
+    zeros = zeros_read(None, 64)
+    fractions_built.clear()
     *_, (p, _, additions, multiplications, matches) = counted_pass(cli.bench_schedule(64))
-    assert (p, matches) == (64, True)
-    assert len(fractions_built) == additions + multiplications
+    assert (p, matches, zeros) == (64, True, 961)
+    assert len(fractions_built) == additions + multiplications - 2 * zeros == 2302
