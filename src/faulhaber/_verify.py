@@ -3,22 +3,22 @@
 `run_verification` makes one ascending pass over the degrees, comparing the
 rows of the three paths and checking the direct path's operation counts,
 then tallies three textbook identities that tie power sums to Bernoulli
-polynomials over fixed ranges.  Each function it runs is looked up when it
-is called, on its defining module or, for `horner`, the brute-force sum and
-the three checks, on this one, so whatever a tracer or a test puts in its
-place is what runs, and nothing of theirs stays behind once they put it
-back.
+polynomials over fixed ranges.  Both read one table of Bernoulli numbers.
+Each function it runs is looked up when it is called, on its defining
+module or, for `horner`, the brute-force sum and the three checks, on this
+one, so whatever a tracer or a test puts in its place is what runs, and
+nothing of theirs stays behind once they put it back.
 
-Each identity check takes one polynomial index and every point of its
-family's range, and returns the points where the identity fails.  The
-checks compare integers only: one `IdentityValues`, built per run of the
-checks and passed to each, holds every polynomial scaled to its common
-denominator and its antiderivative integrated on that pair, as `Scaled`
-pairs.  Each check call evaluates the pairs it reads by `horner`, once at
-each point it reads, as an integer over a positive denominator (d itself
-at an integer point); each identity is cross-multiplied by its
-denominators, so no check builds a Fraction.  A point is an int, or a
-rational u/v as the int pair (u, v) with v > 0.
+Each identity check takes one polynomial index, every point of its
+family's range, and the tuple of B_0..B_IDENTITY_LIMIT that `tallies`
+builds once per run, each scaled to its common denominator as a `Scaled`
+pair; it returns the points where the identity fails.  The checks compare
+integers only: each check call evaluates the pairs it reads by `horner`,
+once at each point it reads, as an integer over a positive denominator (d
+itself at an integer point), and the integral identity integrates the one
+pair it reads; each identity is cross-multiplied by its denominators, so
+no check builds a Fraction.  A point is an int, or a rational u/v as the
+int pair (u, v) with v > 0.
 """
 from __future__ import annotations
 
@@ -127,13 +127,14 @@ def run_verification(p_max: int) -> VerifyReport:
 
     One ascending pass over the degrees.  At each p `direct.counted_pass`
     builds the direct row, the lemma row continues from the one before, and
-    the Bernoulli row reads one table built for p_max; the three rows are
+    the Bernoulli row reads one table built through max(p_max,
+    IDENTITY_LIMIT), which the identity checks read too; the three rows are
     then compared pairwise, and a pair of unequal rows is reported with the
     first coefficient that differs.
     """
     if p_max < 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
-    table = bernoulli.bernoulli_numbers(p_max)
+    table = bernoulli.bernoulli_numbers(max(p_max, IDENTITY_LIMIT))
     lemma = None
     op_count_ok = []
     mismatches = []
@@ -148,7 +149,7 @@ def run_verification(p_max: int) -> VerifyReport:
     return VerifyReport(
         mismatches=tuple(mismatches),
         op_count_ok=tuple(op_count_ok),
-        identity_tallies=tallies(),
+        identity_tallies=tallies(table),
     )
 
 
@@ -164,6 +165,10 @@ INTEGRAL_IDENTITY_ENDPOINTS = (0, 1, (1, 2), -1, 2)
 INTEGRAL_IDENTITY_RANGE = (  # i, (a, b)
     range(0, 31), tuple(itertools.product(INTEGRAL_IDENTITY_ENDPOINTS, repeat=2)))
 DIFFERENCE_IDENTITY_RANGE = (range(2, 31), range(0, 21))  # i, n
+# The highest polynomial index the families read: the integral identity
+# reads B_{i+1}.
+IDENTITY_LIMIT = max(POWER_SUM_IDENTITY_RANGE[0][-1], INTEGRAL_IDENTITY_RANGE[0][-1] + 1,
+                     DIFFERENCE_IDENTITY_RANGE[0][-1])
 
 
 def _integrate_pair(numerators: tuple[int, ...], d: int) -> Scaled:
@@ -176,27 +181,7 @@ def _integrate_pair(numerators: tuple[int, ...], d: int) -> Scaled:
     return tuple([c // g for c in integral]), d * m // g
 
 
-class IdentityValues:
-    """B_0..B_limit from one table, each scaled once and integrated on that
-    pair (zero constant term).
-
-    `polynomials[i]` is B_i and `antiderivatives[i]` the antiderivative of
-    B_i, each a `Scaled` pair (numerators, d): `horner` gives its value at a
-    point x as an integer over a positive denominator, d itself at an
-    integer x.
-    """
-
-    __slots__ = ("polynomials", "antiderivatives")
-
-    def __init__(self, limit: int) -> None:
-        table = bernoulli.bernoulli_numbers(limit)
-        # Through the module attribute, which a tracer or a test may wrap.
-        polynomials = [bernoulli.bernoulli_polynomial(i, table) for i in range(limit + 1)]
-        self.polynomials = tuple([scaled([c.as_integer_ratio() for c in f]) for f in polynomials])
-        self.antiderivatives = tuple([_integrate_pair(*form) for form in self.polynomials])
-
-
-def check_power_sum_identity(p: int, ns: range, values: IdentityValues) -> list[int]:
+def check_power_sum_identity(p: int, ns: range, polynomials: tuple[Scaled, ...]) -> list[int]:
     """The n in `ns` where f_{p-1}(n) differs from (B_p(n+1) - B_p(1)) / p,
     with an exact, brute-force left side.
 
@@ -208,20 +193,20 @@ def check_power_sum_identity(p: int, ns: range, values: IdentityValues) -> list[
     """
     if p < 1:
         raise ValueError(f"power-sum identity needs p >= 1, got {p}")
-    numerators, d = values.polynomials[p]
+    numerators, d = polynomials[p]
     h = {x: horner(numerators, d, x)[0] for x in {1, *[n + 1 for n in ns]}}
     scale = p * d
     return [n for n in ns if h[n + 1] - h[1] != scale * power_sum_bruteforce(p - 1, n)]
 
 
 def check_integral_identity(
-    i: int, intervals: tuple[tuple[Point, Point], ...], values: IdentityValues,
+    i: int, intervals: tuple[tuple[Point, Point], ...], polynomials: tuple[Scaled, ...],
 ) -> list[tuple[Point, Point]]:
     """The (a, b) in `intervals` where the integral of B_i over [a, b]
     differs from (B_{i+1}(b) - B_{i+1}(a)) / (i+1).
 
-    The left side is B_i integrated symbolically and evaluated at the
-    endpoints; both sides are exact.  With F the antiderivative, the
+    The left side is B_i integrated symbolically on its pair and evaluated
+    at the endpoints; both sides are exact.  With F the antiderivative, the
     identity says that G = (i+1) F - B_{i+1} takes one value at a and at b.
     With F = P/Q and B_{i+1} = R/S at each endpoint x, each evaluated once,
     G(x) = ((i+1) P(x) S(x) - R(x) Q(x)) / (Q(x) S(x)), and the test is
@@ -229,7 +214,7 @@ def check_integral_identity(
     """
     if i < 0:
         raise ValueError(f"polynomial index must be >= 0, got {i}")
-    integral, successor = values.antiderivatives[i], values.polynomials[i + 1]
+    integral, successor = _integrate_pair(*polynomials[i]), polynomials[i + 1]
     g = {}
     for x in {x for interval in intervals for x in interval}:
         (p, q), (r, s) = horner(*integral, x), horner(*successor, x)
@@ -237,7 +222,7 @@ def check_integral_identity(
     return [(a, b) for a, b in intervals if g[a][0] * g[b][1] != g[b][0] * g[a][1]]
 
 
-def check_difference_identity(i: int, ns: range, values: IdentityValues) -> list[int]:
+def check_difference_identity(i: int, ns: range, polynomials: tuple[Scaled, ...]) -> list[int]:
     """The n in `ns` where B_i(n+1) - B_i(n) differs from i * n^(i-1).
     Defined for i > 1 only.
 
@@ -246,21 +231,21 @@ def check_difference_identity(i: int, ns: range, values: IdentityValues) -> list
     """
     if i <= 1:
         raise ValueError(f"difference identity needs i > 1, got {i}")
-    numerators, d = values.polynomials[i]
+    numerators, d = polynomials[i]
     h = {x: horner(numerators, d, x)[0] for x in {*ns, *[n + 1 for n in ns]}}
     scale = i * d
     return [n for n in ns if h[n + 1] - h[n] != scale * n ** (i - 1)]
 
 
-def tallies() -> dict[str, tuple[int, int]]:
+def tallies(table: bernoulli.BernoulliTable) -> dict[str, tuple[int, int]]:
     """(checked, failed) of each identity over its default range, by the
-    label `verify` reports it under."""
-    # One IdentityValues through the highest index the families read (the
-    # integral identity reads B_{i+1}).  The checks are looked up here, at
-    # each call, where a tracer or a test may have wrapped them.
-    values = IdentityValues(max(POWER_SUM_IDENTITY_RANGE[0][-1],
-                                INTEGRAL_IDENTITY_RANGE[0][-1] + 1,
-                                DIFFERENCE_IDENTITY_RANGE[0][-1]))
+    label `verify` reports it under, with B_0..B_IDENTITY_LIMIT built once
+    each from `table`."""
+    # Through the module attribute, which a tracer or a test may wrap.  The
+    # checks are looked up here, at each call, where they may be wrapped too.
+    polynomials = tuple([scaled([c.as_integer_ratio() for c in
+                                 bernoulli.bernoulli_polynomial(i, table)])
+                         for i in range(IDENTITY_LIMIT + 1)])
     families = (
         ("power-sum identity", check_power_sum_identity, POWER_SUM_IDENTITY_RANGE),
         ("integral identity", check_integral_identity, INTEGRAL_IDENTITY_RANGE),
@@ -268,6 +253,6 @@ def tallies() -> dict[str, tuple[int, int]]:
     )
     return {
         label: (len(indices) * len(points),
-                sum([len(check(index, points, values)) for index in indices]))
+                sum([len(check(index, points, polynomials)) for index in indices]))
         for label, check, (indices, points) in families
     }

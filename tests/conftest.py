@@ -7,7 +7,7 @@ import faulhaber.bernoulli
 @pytest.fixture
 def shift_b4_linear(monkeypatch):
     """A function that, once called, shifts by one the linear coefficient of
-    every B_4 that `IdentityValues` builds, where the tracer also wraps it:
+    every B_4 that `_verify.tallies` builds, where the tracer also wraps it:
     each identity family then has failing checks.  Undone with the test's
     `monkeypatch`."""
     genuine = faulhaber.bernoulli.bernoulli_polynomial

@@ -18,6 +18,7 @@ from faulhaber import (
     CoefficientRow,
     OpCounter,
     bernoulli_numbers,
+    bernoulli_polynomial,
     direct_coefficients,
     evaluate_row,
     faulhaber_via_bernoulli,
@@ -25,12 +26,12 @@ from faulhaber import (
     power_sum_bruteforce,
 )
 from faulhaber._verify import (
-    IdentityValues,
     check_difference_identity,
     check_integral_identity,
     check_power_sum_identity,
 )
 from faulhaber import cli
+from faulhaber.rationals import scaled
 
 F = Fraction
 
@@ -124,7 +125,11 @@ def test_c7_bernoulli_polynomial_identities():
     endpoints = ((0, 1), (1, 1), (1, 2), (-1, 1), (2, 1))  # (u, v) is u/v
     intervals = tuple((a, b) for a in endpoints for b in endpoints)
     start = time.perf_counter()
-    values = IdentityValues(31)  # one set of polynomials and values for every check
+    # B_0..B_31 from one table, each as one `Scaled` pair, in one tuple
+    # for every check.
+    table = bernoulli_numbers(31)
+    values = tuple([scaled([c.as_integer_ratio() for c in bernoulli_polynomial(i, table)])
+                    for i in range(32)])
     # Each check takes one polynomial and its whole range, and returns the
     # points where its identity fails.
     for p in range(1, 31):

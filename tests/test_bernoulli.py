@@ -19,7 +19,6 @@ from faulhaber import (
     power_sum_bruteforce,
 )
 from faulhaber._verify import (
-    IdentityValues,
     check_difference_identity,
     check_integral_identity,
     check_power_sum_identity,
@@ -27,9 +26,21 @@ from faulhaber._verify import (
 from faulhaber.rationals import horner, scaled
 
 F = Fraction
-# The polynomial pairs of the identities through B_31, the highest
-# index `verify` reads, shared by the checks below that patch nothing.
-VALUES = IdentityValues(31)
+
+
+def identity_pairs():
+    """B_0..B_31, through the highest index `verify` reads, as the tuple of
+    `Scaled` pairs that `tallies` passes to each check: one pair per
+    polynomial, built through `bernoulli.bernoulli_polynomial` as it is
+    looked up at the call."""
+    table = bernoulli_numbers(_verify.IDENTITY_LIMIT)
+    return tuple([scaled([c.as_integer_ratio()
+                          for c in faulhaber.bernoulli.bernoulli_polynomial(i, table)])
+                  for i in range(_verify.IDENTITY_LIMIT + 1)])
+
+
+# Shared by the checks below that patch nothing.
+VALUES = identity_pairs()
 
 
 def polynomial(coeffs):
@@ -205,31 +216,35 @@ def test_integral_identity_example():
 
 
 def test_antiderivatives_are_integrated_once(monkeypatch):
-    # One IdentityValues integrates the pair of each of B_0..B_31 exactly
-    # once, and checks out of order integrate nothing more.
+    # Each integral check call integrates the pair of the one B_i it reads,
+    # once, out of order too, and one identity phase integrates those of
+    # B_0..B_30, 31 pairs: B_31 is read only as the successor of B_30.
     integrated = []
     genuine = _verify._integrate_pair
 
     def counted(numerators, d):
-        integrated.append((numerators, d))
-        return genuine(numerators, d)
+        integrated.append(((numerators, d), genuine(numerators, d)))
+        return integrated[-1][1]
 
     monkeypatch.setattr(_verify, "_integrate_pair", counted)
-    values = IdentityValues(31)
-    assert len(integrated) == 32
     for i in (30, 3, 0, 17, 30):
-        assert check_integral_identity(i, INTERVALS, values) == []
+        assert check_integral_identity(i, INTERVALS, VALUES) == []
+        ((form, integral),) = integrated
+        assert form == VALUES[i]
         for x in ENDPOINTS:
-            integral = fraction_value(antiderivative(bernoulli_polynomial(i)), F(*x))
-            assert F(*horner(*values.antiderivatives[i], x)) == integral
-    assert integrated == [scaled([c.as_integer_ratio() for c in bernoulli_polynomial(i)])
-                          for i in range(32)]
+            expected = fraction_value(antiderivative(bernoulli_polynomial(i)), F(*x))
+            assert F(*horner(*integral, x)) == expected
+        integrated.clear()
+    assert all(failed == 0 for _, failed in _verify.tallies(bernoulli_numbers(31)).values())
+    assert [form for form, _ in integrated] == list(VALUES[:31])
 
 
 def test_identity_values_build_no_fraction_of_their_own(monkeypatch):
-    # The only Fractions built are the entries of B_0..B_31 that
-    # `bernoulli_polynomial` returns, sum(i + 1) = 528 of them: the
-    # antiderivatives are integrated on the integer pairs.
+    # A whole identity phase builds only the Fractions of B_0..B_31 that
+    # `bernoulli_polynomial` returns, sum(i + 1) = 528 of them: `tallies`
+    # scales each to a pair, and the checks integrate and evaluate the pairs
+    # on integers.
+    table = bernoulli_numbers(31)
     built = []
     genuine = Fraction.__new__
 
@@ -238,8 +253,9 @@ def test_identity_values_build_no_fraction_of_their_own(monkeypatch):
         return genuine(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
-    IdentityValues(31)
+    tallies = _verify.tallies(table)
     monkeypatch.undo()
+    assert all(failed == 0 for _, failed in tallies.values())
     assert len(built) == sum(i + 1 for i in range(32)) == 528
 
 
@@ -312,14 +328,14 @@ def test_integer_checks_agree_with_fraction_arithmetic(
     # `verify`, the integer cross-multiplied check returns exactly the
     # points where the identity written in Fractions fails, for the true
     # polynomials and with the linear coefficient of B_4 shifted where
-    # `IdentityValues` builds it (its antiderivative then integrates the
-    # shifted B_4).  The reference reads B_i from the same place.
+    # `tallies` builds it (the integral check then integrates the shifted
+    # B_4).  The reference reads B_i from the same place.
     if shift_b4:
         shift_b4_linear()
-    values = IdentityValues(31)
+    values = identity_pairs()
     table = bernoulli_numbers(31)
     polynomials = [faulhaber.bernoulli.bernoulli_polynomial(i, table) for i in range(32)]
-    b4 = values.polynomials[4]
+    b4 = values[4]
     assert (b4 == scaled([c.as_integer_ratio() for c in bernoulli_polynomial(4)])) is not shift_b4
     for x in (0, 1, (1, 2), -1, 2):
         assert F(*horner(*b4, x)) == fraction_value(polynomials[4], point(x))
@@ -371,7 +387,6 @@ def test_each_check_reads_its_own_values(monkeypatch):
         expected[family] = len(indices) * len(points), reads
     assert expected == {"power-sum identity": (600, 1), "integral identity": (775, 0),
                         "difference identity": (609, 2)}
-    assert _verify.tallies() == expected
-    values = IdentityValues(31)
-    assert check_power_sum_identity(7, range(1, 21), values) == [4]
-    assert check_difference_identity(7, range(0, 21), values) == [4, 5]
+    assert _verify.tallies(bernoulli_numbers(31)) == expected
+    assert check_power_sum_identity(7, range(1, 21), VALUES) == [4]
+    assert check_difference_identity(7, range(0, 21), VALUES) == [4, 5]

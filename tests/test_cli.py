@@ -397,21 +397,22 @@ def test_identity_phase_evaluates_each_polynomial_once_per_point(monkeypatch):
         calls[-1][1].append((numerators, d, x))
         return genuine_horner(numerators, d, x)
 
-    def read(name, index, points, values):
+    def read(name, index, points, polynomials):
         """The (pair, point) evaluations the check `name` needs."""
         if name == "check_power_sum_identity":
-            return {(*values.polynomials[index], x) for x in {1, *[n + 1 for n in points]}}
+            return {(*polynomials[index], x) for x in {1, *[n + 1 for n in points]}}
         if name == "check_integral_identity":
+            integral = _verify._integrate_pair(*polynomials[index])
             return {(*form, x) for x in {x for interval in points for x in interval}
-                    for form in (values.antiderivatives[index], values.polynomials[index + 1])}
-        return {(*values.polynomials[index], x) for x in {*points, *[n + 1 for n in points]}}
+                    for form in (integral, polynomials[index + 1])}
+        return {(*polynomials[index], x) for x in {*points, *[n + 1 for n in points]}}
 
     monkeypatch.setattr(_verify, "horner", counted)
     for name in ("check_power_sum_identity", "check_integral_identity",
                  "check_difference_identity"):
-        def marked(index, points, values, name=name, genuine=getattr(_verify, name)):
-            calls.append((read(name, index, points, values), []))
-            return genuine(index, points, values)
+        def marked(index, points, polynomials, name=name, genuine=getattr(_verify, name)):
+            calls.append((read(name, index, points, polynomials), []))
+            return genuine(index, points, polynomials)
 
         monkeypatch.setattr(_verify, name, marked)
     tallies = {
@@ -420,8 +421,9 @@ def test_identity_phase_evaluates_each_polynomial_once_per_point(monkeypatch):
         "difference identity": (609, 0),
     }
 
+    table = faulhaber.bernoulli.bernoulli_numbers(31)
     for phases in 1, 2:
-        assert _verify.tallies() == tallies
+        assert _verify.tallies(table) == tallies
         assert len(calls) == phases * (30 + 31 + 29)
         for needed, evaluated in calls:
             assert Counter(evaluated) == Counter(needed)
@@ -429,20 +431,31 @@ def test_identity_phase_evaluates_each_polynomial_once_per_point(monkeypatch):
 
 
 def test_identity_phase_builds_one_table_and_each_polynomial_once(monkeypatch):
-    # One table of Bernoulli numbers through B_31, the highest index the
-    # families read, and one call per polynomial B_0..B_31, counted where
-    # the tracer wraps them.
-    calls = []
+    # The identity phase builds no table of its own: it reads the one its
+    # caller passes, through B_31, the highest index the families read, in
+    # one call per polynomial B_0..B_31, counted where the tracer wraps them.
+    # Every check call reads the one tuple of their pairs.
+    table = faulhaber.bernoulli.bernoulli_numbers(31)
+    calls, passed = [], []
     for name in ("bernoulli_numbers", "bernoulli_polynomial"):
         genuine = getattr(faulhaber.bernoulli, name)
 
         def counted(*args, name=name, genuine=genuine):
-            calls.append((name, args[0]))
+            calls.append((name, args[0], *[arg is table for arg in args[1:]]))
             return genuine(*args)
 
         monkeypatch.setattr(faulhaber.bernoulli, name, counted)
-    assert all(failed == 0 for _, failed in _verify.tallies().values())
-    assert calls == [("bernoulli_numbers", 31)] + [("bernoulli_polynomial", i) for i in range(32)]
+    for name in ("check_power_sum_identity", "check_integral_identity",
+                 "check_difference_identity"):
+        def marked(index, points, polynomials, genuine=getattr(_verify, name)):
+            passed.append(polynomials)
+            return genuine(index, points, polynomials)
+
+        monkeypatch.setattr(_verify, name, marked)
+    assert all(failed == 0 for _, failed in _verify.tallies(table).values())
+    assert calls == [("bernoulli_polynomial", i, True) for i in range(32)]
+    assert len(passed) == 30 + 31 + 29 and all(pairs is passed[0] for pairs in passed)
+    assert len(passed[0]) == 32
 
 
 def test_verify_builds_each_direct_row_once(monkeypatch):
@@ -484,8 +497,8 @@ def test_verify_never_rebuilds_fractions_from_a_pair(capsys, monkeypatch):
 
 def test_verify_carries_the_lemma_row_and_reads_one_table(monkeypatch):
     # The lemma pass takes one integration step per degree, and every
-    # Bernoulli row reads the one table built for p_max.  The only other
-    # table is the identity phase's, through B_31.
+    # Bernoulli row reads the one table built for p_max, which the identity
+    # phase, through B_31, reads too.
     steps, numbers, limits = [], [], []
     genuine_step = faulhaber.integration.integration_step
     genuine_numbers = faulhaber.bernoulli.bernoulli_numbers
@@ -509,8 +522,39 @@ def test_verify_carries_the_lemma_row_and_reads_one_table(monkeypatch):
     report = cli.run_verification(40)
     assert report.passed
     assert steps == list(range(1, 41))
-    assert numbers == [40, 31]
+    assert numbers == [40]
     assert limits == [40] * 41
+
+
+@pytest.mark.parametrize("p_max", [10, 31, 40])
+def test_verify_builds_one_table_for_the_rows_and_the_identities(monkeypatch, p_max):
+    # One table through max(p_max, 31), where 31 is the highest index the
+    # identity families read: every Bernoulli row and every polynomial of
+    # the identity phase reads it, and no other table is built.
+    tables, read = [], []
+    genuine_numbers = faulhaber.bernoulli.bernoulli_numbers
+    genuine_row = faulhaber.bernoulli.faulhaber_via_bernoulli
+    genuine_polynomial = faulhaber.bernoulli.bernoulli_polynomial
+
+    def counted_numbers(m):
+        tables.append(genuine_numbers(m))
+        return tables[-1]
+
+    def recorded_row(p, table=None):
+        read.append(table)
+        return genuine_row(p, table)
+
+    def recorded_polynomial(i, table=None):
+        read.append(table)
+        return genuine_polynomial(i, table)
+
+    monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_numbers", counted_numbers)
+    monkeypatch.setattr(faulhaber.bernoulli, "faulhaber_via_bernoulli", recorded_row)
+    monkeypatch.setattr(faulhaber.bernoulli, "bernoulli_polynomial", recorded_polynomial)
+    assert _verify.run_verification(p_max).passed
+    assert [table.limit for table in tables] == [max(p_max, 31)]
+    assert len(read) == (p_max + 1) + 32
+    assert all(table is tables[0] for table in read)
 
 
 def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):

@@ -1,8 +1,8 @@
 """The package keeps no hidden per-process state: no module of
 `src/faulhaber/` rebinds a module global after import or starts a cache
 that fills as the program runs.  A path continues from a row its caller
-passes, and the identity checks read the `IdentityValues` their caller
-builds."""
+passes, and the identity checks read the tuple of polynomial pairs
+`_verify.tallies` builds from the table its caller passes."""
 import ast
 from pathlib import Path
 

@@ -50,7 +50,7 @@ def test_star_import_binds_exactly_all():
 def test_the_identity_checks_are_not_exported():
     # They are `verify`'s machinery, in `_verify`, not the library's.
     assert len(faulhaber.__all__) == 10
-    for name in ("IdentityValues", "check_power_sum_identity", "check_integral_identity",
+    for name in ("tallies", "check_power_sum_identity", "check_integral_identity",
                  "check_difference_identity"):
         assert name not in dir(faulhaber)
         with pytest.raises(AttributeError):
@@ -65,7 +65,7 @@ NEGATIVE = {
     "bernoulli_polynomial": (faulhaber.bernoulli_polynomial, (),
                              "polynomial index must be >= 0, got -1"),
     "check_integral_identity": (_verify.check_integral_identity,
-                                ((), _verify.IdentityValues(0)),
+                                ((), (((1,), 1),)),  # B_0 alone, as a pair
                                 "polynomial index must be >= 0, got -1"),
     "run_verification": (_verify.run_verification, (), "p_max must be >= 0, got -1"),
 }

@@ -1,5 +1,5 @@
 """What each line of the `verify` report catches: `run_verification` at
-P = 10 and P = 40 under one injected fault at a time, and the lines that
+P = 10, 31 and 40 under one injected fault at a time, and the lines that
 fail.  README.md shows this matrix under `verify`.
 
 A fault replaces one function where `verify` looks it up, so each fault
@@ -177,10 +177,13 @@ FAULTS = {
 
 def test_verify_passes_without_a_fault():
     assert failing_lines(10) == {}
+    assert failing_lines(31) == {}
     assert failing_lines(40) == {}
 
 
-@pytest.mark.parametrize("p_max", [10, 40])
+# At P = 31 the one table `verify` builds ends at B_31, where the identity
+# checks need it to.
+@pytest.mark.parametrize("p_max", [10, 31, 40])
 @pytest.mark.parametrize("module, name, wrong, expected", FAULTS.values(), ids=FAULTS)
 def test_each_fault_fails_its_lines(monkeypatch, p_max, module, name, wrong, expected):
     monkeypatch.setattr(module, name, wrong(getattr(module, name)))
