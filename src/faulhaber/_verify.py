@@ -27,35 +27,24 @@ from math import gcd, lcm
 
 from . import bernoulli, direct, integration
 from .oracle import power_sum_bruteforce
-from .rationals import CoefficientRow, FrozenRecord, Record, Scaled, horner, scaled
+from .rationals import CoefficientRow, Record, Scaled, horner, scaled
 
 # The paths in the order verify compares them; `cli.METHODS` keeps it.
 PATHS = ("direct", "lemma", "bernoulli")
 
 
-class Mismatch(FrozenRecord):
-    """First point of disagreement between two paths at one degree."""
-
-    __slots__ = ("p", "pair", "power")
-    p: int
-    pair: str
-    # 1-based power j whose coefficient a_j differs first, or None when every
-    # coefficient is equal in value and a pair is not reduced.
-    power: int | None
-
-    def __init__(self, p: int, pair: str, power: int | None) -> None:
-        super().__init__(p, pair, power)
-
-
 class VerifyReport(Record):
     __slots__ = ("mismatches", "op_count_ok", "identity_tallies")
-    mismatches: tuple[Mismatch, ...]
+    # (p, pair, power) for each pair of unequal rows: power is the 1-based j
+    # whose coefficient a_j differs first, or None when every coefficient is
+    # equal in value and a pair is not reduced.
+    mismatches: tuple[tuple[int, str, int | None], ...]
     op_count_ok: tuple[bool, ...]  # indexed by p = 0..p_max
     identity_tallies: dict[str, tuple[int, int]]  # label -> (checked, failed)
 
     def __init__(
         self,
-        mismatches: tuple[Mismatch, ...],
+        mismatches: tuple[tuple[int, str, int | None], ...],
         op_count_ok: tuple[bool, ...],
         identity_tallies: dict[str, tuple[int, int]],
     ) -> None:
@@ -82,10 +71,10 @@ class VerifyReport(Record):
         pairs = len(PATHS) * (len(PATHS) - 1) // 2
         if self.mismatches:
             lines.append(f"  row equality: {len(self.mismatches)} mismatch(es)")
-            for m in self.mismatches:
-                where = ("coefficients equal, but a pair is not reduced" if m.power is None
-                         else f"coefficients differ first at a_{m.power}")
-                lines.append(f"    p={m.p} {m.pair}: {where}")
+            for p, pair, power in self.mismatches:
+                where = ("coefficients equal, but a pair is not reduced" if power is None
+                         else f"coefficients differ first at a_{power}")
+                lines.append(f"    p={p} {pair}: {where}")
         else:
             degrees = f"{self.p_max + 1} degree{'s' if self.p_max else ''}"
             lines.append(f"  row equality: OK ({degrees}, {pairs} path pairs)")
@@ -144,7 +133,7 @@ def run_verification(p_max: int) -> VerifyReport:
         rows = row, lemma, bernoulli.faulhaber_via_bernoulli(p, table)
         for (name_a, a), (name_b, b) in itertools.combinations(zip(PATHS, rows), 2):
             if a != b:  # canonical pairs: equal rows compare as ints, unscanned
-                mismatches.append(Mismatch(p, f"{name_a} vs {name_b}", _first_difference(a, b)))
+                mismatches.append((p, f"{name_a} vs {name_b}", _first_difference(a, b)))
 
     return VerifyReport(
         mismatches=tuple(mismatches),

@@ -288,8 +288,7 @@ def test_first_difference(a, b, power):
 
 def test_report_renders_each_kind_of_mismatch():
     report = _verify.VerifyReport(
-        mismatches=(_verify.Mismatch(1, "direct vs lemma", None),
-                    _verify.Mismatch(3, "lemma vs bernoulli", 2)),
+        mismatches=((1, "direct vs lemma", None), (3, "lemma vs bernoulli", 2)),
         op_count_ok=(True,) * 4,
         identity_tallies={},
     )

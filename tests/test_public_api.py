@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import faulhaber
-from faulhaber import _verify
+from faulhaber import _verify, cli
 
 # The modules with a public surface: not `__main__`, nor `_verify`, which
 # holds the machinery of `verify` and `bench` behind `faulhaber.cli`.
@@ -55,6 +55,17 @@ def test_the_identity_checks_are_not_exported():
         assert name not in dir(faulhaber)
         with pytest.raises(AttributeError):
             getattr(faulhaber, name)
+
+
+def test_cli_reexports_only_run_verification_from_verify():
+    # The report is `verify`'s own; `run_verification` stays on `cli`, where
+    # the benchmark's tracer looks it up.
+    assert cli.__all__ == ["METHODS", "format_plain", "format_json", "format_latex",
+                           "run_verification", "bench_schedule", "main"]
+    for name in ("Mismatch", "VerifyReport"):
+        with pytest.raises(AttributeError):
+            getattr(cli, name)
+    assert cli.run_verification is _verify.run_verification
 
 
 # Each function whose check of a negative degree or index no other test

@@ -1,5 +1,5 @@
-"""The package's five record classes: constructors by position and keyword,
-equality within one class, immutability and hashing of the three frozen
+"""The package's four record classes: constructors by position and keyword,
+equality within one class, immutability and hashing of the two frozen
 ones, and the validation of `CoefficientRow` and `BernoulliTable`."""
 import copy
 import numbers
@@ -16,7 +16,8 @@ from faulhaber import (
     direct_coefficients,
     integration_coefficients,
 )
-from faulhaber.cli import Mismatch, VerifyReport, format_plain
+from faulhaber._verify import VerifyReport
+from faulhaber.cli import format_plain
 from faulhaber.rationals import start_row
 
 F = Fraction
@@ -25,7 +26,6 @@ F = Fraction
 FIELDS = {
     CoefficientRow: {"coefficients": (F(1, 6), F(1, 2), F(1, 3))},
     BernoulliTable: {"ratios_minus": ((1, 1), (-1, 2))},
-    Mismatch: {"p": 7, "pair": "direct vs lemma", "power": 3},
     OpCounter: {"additions": 54, "multiplications": 45},
     VerifyReport: {
         "mismatches": (),
@@ -33,7 +33,7 @@ FIELDS = {
         "identity_tallies": {"power-sum identity": (600, 0)},
     },
 }
-FROZEN = (CoefficientRow, BernoulliTable, Mismatch)
+FROZEN = (CoefficientRow, BernoulliTable)
 MUTABLE = (OpCounter, VerifyReport)
 records = pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
 

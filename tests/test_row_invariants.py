@@ -1,9 +1,10 @@
 """Row invariants of every path: the theorems stated in `CoefficientRow`,
 agreement with the brute-force sum over random degrees, and the canonical
-integer pair of every row through p = 150, where the theorems become
-integer identities.  In every row the zeros of the odd Bernoulli numbers
-fix which entries are zero, and no other entry is: the direct and lemma
-steps skip exactly those."""
+integer pair of every row through p = 150, where the theorems, the paper's
+roots of f_p and a_(p-1) = p/12 among them, become integer identities, and
+the row at p = 150 is certified to be f_150.  In every row the zeros of the
+odd Bernoulli numbers fix which entries are zero, and no other entry is:
+the direct and lemma steps skip exactly those."""
 from fractions import Fraction
 from math import gcd
 
@@ -62,3 +63,23 @@ def test_rows_are_canonical_integer_pairs(method):
         if p >= 1:
             assert 2 * numerators[p - 1] == d
         assert [c == 0 for c in numerators] == zero_pattern(p)
+        # The paper's roots and a_(p-1), with c_k the numerator of n^(k+1):
+        # f_p(-1) = 0, a_(p-1) = p/12, f_p(-1/2) = 0 for even p >= 2, that is
+        # sum (-1)^k 2^(p-k) c_k = 0, and, by Knuth's u-form, f_p'(-1) = 0
+        # for odd p >= 3.
+        signed = [-c if k % 2 else c for k, c in enumerate(numerators)]
+        if p >= 1:
+            assert sum(signed) == 0
+        if p >= 2:
+            assert 12 * numerators[p - 2] == p * d
+        if p >= 2 and p % 2 == 0:
+            assert sum(c << (p - k) for k, c in enumerate(signed)) == 0
+        if p >= 3 and p % 2 == 1:
+            assert sum((k + 1) * c for k, c in enumerate(signed)) == 0
+    # The certificate: a polynomial of degree p + 1 with no constant term
+    # that agrees with the power sum at n = 1..p+1 has p + 2 roots in common
+    # with f_p, 0 included, so it is f_p.
+    total = 0
+    for n in range(1, p + 2):
+        total += n ** p
+        assert evaluate_row(row, n) == total

@@ -24,8 +24,8 @@ def failing_lines(p_max):
     number of failed checks."""
     report = _verify.run_verification(p_max)
     failing = {}
-    for mismatch in report.mismatches:
-        failing.setdefault(mismatch.pair, []).append(mismatch.p)
+    for p, pair, _ in report.mismatches:
+        failing.setdefault(pair, []).append(p)
     bad_counts = [p for p, ok in enumerate(report.op_count_ok) if not ok]
     if bad_counts:
         failing["op counts"] = bad_counts
