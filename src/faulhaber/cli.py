@@ -14,7 +14,8 @@ scripting contract: 0 success, 1 verification failure, 2 usage error,
 table cannot be indexed), 74 output not written (EX_IOERR: `> /dev/full`),
 130 interrupted.  `coeffs 10**20` on the direct or lemma path, and `bench`
 and `eval` with such a p, work up one degree at a time until interrupted
-or out of memory.
+or out of memory.  The program ends through `__main__.run`, without the
+interpreter's teardown: no `atexit` hook runs.
 
 The command line is read from one table, as argparse read it; the usage and
 help texts are fixed, so neither the terminal nor the interpreter changes
@@ -560,8 +561,17 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     status = 0
     try:
-        args = build_parser().parse_args(argv)
-        status = args.handler(args)
+        try:
+            args = build_parser().parse_args(argv)
+            status = args.handler(args)
+        except (MemoryError, OverflowError) as error:
+            # The argument is well formed, but its work does not fit this
+            # machine (`bernoulli 10**20` cannot index its table): neither a
+            # verification failure nor a usage error.
+            _diagnose(f"error: too large for this machine: {str(error) or 'out of memory'}")
+            status = 71
+        # What the command wrote goes out here on 71 too, so that output
+        # lost in this flush is reported as output lost in the command is.
         if sys.stdout is not None:  # None when started with stdout closed (`>&-`)
             sys.stdout.flush()
     except BrokenPipeError:
@@ -574,12 +584,6 @@ def main(argv: list[str] | None = None) -> int:
         _diagnose(f"error: cannot write output: {error.strerror}")
         _silence_stdout()
         return 74
-    except (MemoryError, OverflowError) as error:
-        # The argument is well formed, but its work does not fit this
-        # machine (`bernoulli 10**20` cannot index its table): neither a
-        # verification failure nor a usage error.
-        _diagnose(f"error: too large for this machine: {str(error) or 'out of memory'}")
-        return 71
     except KeyboardInterrupt:
         # Ctrl-C: a short diagnostic and the shell's 128 + SIGINT status
         # instead of a traceback.
@@ -589,7 +593,3 @@ def main(argv: list[str] | None = None) -> int:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
     return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,5 +1,6 @@
 """Command-line contract: output formats, exit statuses, cross-verification,
 and the benchmark table."""
+import ast
 import errno
 import json
 import os
@@ -567,15 +568,22 @@ def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):
     assert err == "interrupted\n"
 
 
-def test_closed_stdout_is_not_a_failure():
+def checkout_env():
+    """The environment with this checkout's package first on PYTHONPATH, and
+    stdout buffered, as by default, whatever PYTHONUNBUFFERED said."""
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_closed_stdout_is_not_a_failure():
     # The 85 kB table overflows the pipe's buffer, so the writer certainly
     # meets the closed end.
     proc = subprocess.Popen(
         [sys.executable, "-m", "faulhaber", "bernoulli", "500"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=checkout_env(),
     )
     first = proc.stdout.readline()
     proc.stdout.close()  # what `| head -1` does
@@ -670,12 +678,10 @@ def test_stdout_without_reader_exits_0_silently(capsys, monkeypatch, tmp_path, a
 
 def into_dev_full(*argv):
     """Run the program with stdout on /dev/full: its status and stderr."""
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "faulhaber", *argv],
-                              stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+                              stdout=full, stderr=subprocess.PIPE, env=checkout_env(),
+                              timeout=60)
     return proc.returncode, proc.stderr.decode()
 
 
@@ -688,6 +694,88 @@ def test_dev_full_exits_74_without_traceback():
 def test_help_into_dev_full_exits_74():
     # The help fits in stdout's buffer: only a flush before the exit fails.
     assert into_dev_full("coeffs", "--help") == (74, NO_SPACE)
+
+
+# `python -m faulhaber` ends with `os._exit`, past the interpreter's teardown
+# and its flush of the streams: the entry flushes them itself first.  The
+# table of `bernoulli 1500` is many times a pipe's buffer.
+@pytest.mark.parametrize("argv, status", [(("bernoulli", "1500"), 0), (("coeffs", "x"), 2),
+                                          (("coeffs", "--help"), 0)])
+def test_program_prints_what_main_prints(capsys, argv, status):
+    try:
+        assert cli.main(list(argv)) == status
+    except SystemExit as stop:  # --help and the usage error leave `main` so
+        assert stop.code == status
+    out, err = capsys.readouterr()
+    assert not (out if status == 2 else err)
+    proc = subprocess.run([sys.executable, "-m", "faulhaber", *argv], capture_output=True,
+                          env=checkout_env(), timeout=60)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (status, out, err)
+
+
+# Runs the program's entry after registering an `atexit` hook and making the
+# direct path fail with the exception its first argument names, as one past
+# the machine's reach, or cut by Ctrl-C, would.
+FAILING_PROGRAM = """\
+import atexit
+import builtins
+import sys
+import faulhaber.direct
+from faulhaber.__main__ import run
+
+error = getattr(builtins, sys.argv.pop(1))
+
+def fail(*args):
+    raise error
+
+atexit.register(print, "teardown")
+faulhaber.direct.direct_coefficients = fail
+run()
+"""
+
+
+def run_failing(error, *argv, stdout=subprocess.PIPE):
+    """Run the program with the direct path failing: status, stdout, stderr."""
+    proc = subprocess.run([sys.executable, "-c", FAILING_PROGRAM, error, *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=checkout_env(),
+                          timeout=60)
+    return proc.returncode, (proc.stdout or b"").decode(), proc.stderr.decode()
+
+
+def test_program_flushes_then_ends_without_teardown(capsys, monkeypatch):
+    # `bench` writes its header before the first row is built.  On Ctrl-C
+    # `main` returns 130 with the header still in stdout's buffer: the entry
+    # flushes it.  The hook does not run.
+    monkeypatch.setattr(faulhaber.direct, "direct_coefficients", raising(KeyboardInterrupt))
+    assert cli.main(["bench", "5"]) == 130
+    out, err = capsys.readouterr()
+    assert out.startswith("     p ") and err == "interrupted\n"
+    assert run_failing("KeyboardInterrupt", "bench", "5") == (130, out, err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_output_lost_after_running_out_of_memory_exits_74():
+    # `main` flushes the header on 71 too, so a failed write is reported
+    # as one in the command is, after the command's own error.
+    with open("/dev/full", "w") as full:
+        status, _, err = run_failing("MemoryError", "bench", "5", stdout=full)
+    assert (status, err) == (74, "error: too large for this machine: out of memory\n" + NO_SPACE)
+
+
+def test_script_runs_what_python_m_runs():
+    # Read without `tomllib`, which Python 3.10 lacks.
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = pyproject.read_text(encoding="utf-8").split("\n[project.scripts]\n")[1]
+    scripts = scripts.split("\n[")[0]
+    module, function = re.fullmatch(r'faulhaber = "(\S+):(\w+)"', scripts.strip()).groups()
+    assert module == "faulhaber.__main__"
+    source = Path(cli.__file__).with_name("__main__.py").read_text(encoding="utf-8")
+    guard = ast.parse(source).body[-1]
+    assert ast.unparse(guard) == f"if __name__ == '__main__':\n    {function}()"
+    # It is the program's one entry: `cli` has no guard of its own.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    tests = [ast.unparse(node.test) for node in tree.body if isinstance(node, ast.If)]
+    assert not [test for test in tests if "__name__" in test]
 
 
 def test_bench_schedule_is_geometric():

@@ -25,6 +25,8 @@ ALLOWED = {
     "bernoulli": {"rationals", "_verify"},
     "_verify": {"rationals", "direct", "integration", "bernoulli", "oracle"},
     "cli": {"rationals", "direct", "integration", "bernoulli", "oracle", "_verify"},
+    # The program's entry runs `cli.main` and ends the process.
+    "__main__": {"cli"},
 }
 
 
@@ -43,7 +45,7 @@ def package_imports(module):
 
 def test_every_module_has_a_row():
     # A module without one would escape the checks below.
-    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
     assert modules == set(ALLOWED)
 
 
